@@ -9,7 +9,7 @@ from assocrank.embeddings import EmbeddingMatrix, l2_normalize_rows, load_matrix
 from assocrank.model import AssocModel, forward, load_model, param_count, save_model, transform_matrix
 from assocrank.pairs import AssocPairSet, QuestionRecord, extract_pairs, split_policy
 from assocrank.rerank import RerankConfig, rerank_query
-from assocrank.search import CandidatePool, batch_top_k, top_k
+from assocrank.search import top_k
 from assocrank.training import TrainConfig, TrainReport, train, training_accuracy
 
 __version__ = "0.1.0"
@@ -17,13 +17,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AssocModel",
     "AssocPairSet",
-    "CandidatePool",
     "EmbeddingMatrix",
     "QuestionRecord",
     "RerankConfig",
     "TrainConfig",
     "TrainReport",
-    "batch_top_k",
     "extract_pairs",
     "forward",
     "l2_normalize_rows",

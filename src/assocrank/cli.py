@@ -21,14 +21,14 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from assocrank import evaluation, lexical, pairs as pairs_mod, rerank as rerank_mod
+from assocrank import evaluation, pairs as pairs_mod, rerank as rerank_mod
 from assocrank.embeddings import load_matrix, save_matrix
 from assocrank.model import AssocModel, load_model, save_model, transform_matrix
-from assocrank.rerank import RerankConfig, RerankPipeline
-from assocrank.search import batch_top_k
+from assocrank.rerank import RerankConfig
 from assocrank.synthetic import SyntheticSpec, generate_full
 from assocrank.training import TrainConfig, train
 
@@ -73,26 +73,13 @@ def require(cfg: dict, key: str):
     return cfg[key]
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+def _typed(cfg: dict, key: str, convert, default):
+    """cfg[key] (or `default`) passed through `convert`; a value it rejects
+    is a config error that names the key."""
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return convert(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{key}: {exc}") from None
 
 
 def _atomic_via(path: str, writer) -> None:
@@ -108,6 +95,14 @@ def _atomic_via(path: str, writer) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    _atomic_via(path, lambda tmp: Path(tmp).write_bytes(text.encode("utf-8")))
+
+
+def write_json(path: str, payload: dict) -> None:
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_texts(path: str) -> dict[str, str]:
@@ -147,9 +142,9 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def _rerank_config(cfg: dict) -> RerankConfig:
     config = RerankConfig(
-        blend_lambda=float(cfg.get("rerank.lambda", 0.50)),
-        pool_depth=int(cfg.get("rerank.pool_depth", 100)),
-        cutoff=int(cfg.get("rerank.cutoff", 5)),
+        blend_lambda=_typed(cfg, "rerank.lambda", float, 0.50),
+        pool_depth=_typed(cfg, "rerank.pool_depth", int, 100),
+        cutoff=_typed(cfg, "rerank.cutoff", int, 5),
         mode=str(cfg.get("rerank.mode", "mixed_bidi")),
     )
     try:
@@ -161,14 +156,14 @@ def _rerank_config(cfg: dict) -> RerankConfig:
 
 def cmd_synth(cfg: dict) -> int:
     spec = SyntheticSpec(
-        n_passages=int(cfg.get("synth.n_passages", 5000)),
-        dim=int(cfg.get("synth.dim", 64)),
-        n_questions=int(cfg.get("synth.n_questions", 500)),
-        hops=int(cfg.get("synth.hops", 2)),
-        bridge_offset_rank=int(cfg.get("synth.bridge_offset_rank", 10)),
-        noise_scale=float(cfg.get("synth.noise_scale", 0.1)),
-        n_clusters=(int(cfg["synth.n_clusters"]) if "synth.n_clusters" in cfg else None),
-        seed=int(cfg.get("synth.seed", 42)),
+        n_passages=_typed(cfg, "synth.n_passages", int, 5000),
+        dim=_typed(cfg, "synth.dim", int, 64),
+        n_questions=_typed(cfg, "synth.n_questions", int, 500),
+        hops=_typed(cfg, "synth.hops", int, 2),
+        bridge_offset_rank=_typed(cfg, "synth.bridge_offset_rank", int, 10),
+        noise_scale=_typed(cfg, "synth.noise_scale", float, 0.1),
+        n_clusters=(_typed(cfg, "synth.n_clusters", int, None) if "synth.n_clusters" in cfg else None),
+        seed=_typed(cfg, "synth.seed", int, 42),
     )
     try:
         data = generate_full(spec)
@@ -202,10 +197,10 @@ def cmd_pairs(cfg: dict) -> int:
         raise CliError(str(exc)) from None
     transform = str(cfg.get("pairs.transform", "none"))
     if transform == "shuffled":
-        pair_set = pairs_mod.shuffle_pairs(pair_set, int(cfg.get("pairs.shuffle_seed", 0)))
+        pair_set = pairs_mod.shuffle_pairs(pair_set, _typed(cfg, "pairs.shuffle_seed", int, 0))
     elif transform == "similar_positives":
         passages = load_matrix(require(cfg, "passages"))
-        count = int(cfg.get("pairs.similar_count", len(pair_set.pairs)))
+        count = _typed(cfg, "pairs.similar_count", int, len(pair_set.pairs))
         pair_set = pairs_mod.similar_positive_pairs(passages, count)
     elif transform != "none":
         raise CliError(f"unknown pairs.transform {transform!r}")
@@ -293,7 +288,7 @@ def cmd_eval(cfg: dict) -> int:
     if missing:
         raise CliError(f"no record for query {missing[0]!r}")
     texts = load_texts(cfg["texts"]) if "texts" in cfg else None
-    ks = tuple(int(k) for k in cfg.get("eval.ks", [5, 10, 20]))
+    ks = _typed(cfg, "eval.ks", lambda v: tuple(int(k) for k in v), [5, 10, 20])
     if max(ks) > config.pool_depth:
         raise CliError(f"eval.ks {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
     pools = _scored_pools(passages, queries, model, transformed, config)
@@ -312,8 +307,8 @@ def cmd_eval(cfg: dict) -> int:
         baseline,
         reranked,
         ks,
-        resamples=int(cfg.get("eval.resamples", 10000)),
-        seed=int(cfg.get("eval.seed", 0)),
+        resamples=_typed(cfg, "eval.resamples", int, 10000),
+        seed=_typed(cfg, "eval.seed", int, 0),
     )
     movement = evaluation.rank_movement_report(baseline, reranked, config.pool_depth)
     payload = report.to_json_dict()
@@ -351,7 +346,7 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
 def cmd_sweep(cfg: dict) -> int:
     passages, queries, model, transformed, config = _load_pipeline(cfg)
     records = pairs_mod.load_records(require(cfg, "records"))
-    ks = tuple(int(k) for k in cfg.get("sweep.ks", [5, 10, 20]))
+    ks = _typed(cfg, "sweep.ks", lambda v: tuple(int(k) for k in v), [5, 10, 20])
     pools = _scored_pools(passages, queries, model, transformed, config)
     by_qid = {rec.question_id for rec in records}
     for pool in pools:
@@ -359,7 +354,9 @@ def cmd_sweep(cfg: dict) -> int:
             raise CliError(f"no record for query {pool.query_id!r}")
     eval_records = [rec for rec in records if rec.question_id in {p.query_id for p in pools}]
 
-    lambdas = [float(x) for x in cfg.get("sweep.lambdas", [0.0, 0.25, 0.5, 0.75, 1.0])]
+    lambdas = _typed(
+        cfg, "sweep.lambdas", lambda v: [float(x) for x in v], [0.0, 0.25, 0.5, 0.75, 1.0]
+    )
     lam_rows = evaluation.lambda_sweep(pools, passages.ids, eval_records, lambdas, ks)
     _write_csv(
         require(cfg, "sweep.lambda_out"),
@@ -367,7 +364,7 @@ def cmd_sweep(cfg: dict) -> int:
         ["lambda"] + [f"recall_at_{k}" for k in ks],
     )
 
-    depths = [int(x) for x in cfg.get("sweep.depths", [10, 20, 50, 100])]
+    depths = _typed(cfg, "sweep.depths", lambda v: [int(x) for x in v], [10, 20, 50, 100])
     depth_rows = evaluation.pool_depth_sweep(
         pools, passages.ids, eval_records, depths, config.blend_lambda, ks
     )
@@ -389,12 +386,12 @@ def cmd_bench(cfg: dict) -> int:
             f"checkpoint dim {model.dim} does not match passage dim {passages.dim}"
         )
     base = _rerank_config(cfg)
-    depths = [int(x) for x in cfg.get("bench.pool_depths", [100, 200])]
-    n_queries = int(cfg.get("bench.n_queries", min(32, queries.rows)))
+    depths = _typed(cfg, "bench.pool_depths", lambda v: [int(x) for x in v], [100, 200])
+    n_queries = _typed(cfg, "bench.n_queries", int, min(32, queries.rows))
     if not 1 <= n_queries <= queries.rows:
         raise CliError(f"bench.n_queries {n_queries} out of range for {queries.rows} queries")
-    warmup = int(cfg.get("bench.warmup", 2))
-    reps = int(cfg.get("bench.reps", 3))
+    warmup = _typed(cfg, "bench.warmup", int, 2)
+    reps = _typed(cfg, "bench.reps", int, 3)
     transformed = transform_matrix(model, passages, source=require(cfg, "passages"))
     qs = queries.data[:n_queries]
     results = {}
@@ -407,8 +404,9 @@ def cmd_bench(cfg: dict) -> int:
             cutoff=min(base.cutoff, depth),
             mode=base.mode,
         )
-        pipeline = RerankPipeline(model, passages, transformed, config)
-        stats = evaluation.latency_bench(pipeline, qs, warmup=warmup, reps=reps)
+        stats = evaluation.latency_bench(
+            model, passages, transformed, config, qs, warmup=warmup, reps=reps
+        )
         results[str(depth)] = stats.to_json_dict()
     payload = {
         "depths": results,
@@ -466,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing-file: {_one_line(exc)}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return 1
 

@@ -33,12 +33,6 @@ class FormatError(ValueError):
 
 
 @dataclass
-class IdMap:
-    forward: dict[str, int]
-    backward: list[str]
-
-
-@dataclass
 class EmbeddingMatrix:
     """N x d float32 matrix with one external string id per row."""
 
@@ -80,9 +74,6 @@ class EmbeddingMatrix:
 
     def vector(self, pid: str) -> np.ndarray:
         return self.data[self.row(pid)]
-
-    def id_map(self) -> IdMap:
-        return IdMap(forward=dict(self._row_of), backward=list(self.ids))
 
 
 def l2_normalize_rows(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -168,10 +159,3 @@ def load_matrix(
                 f"row {worst} (id {ids[worst]!r}) claims unit norm but has norm {norms[worst]:.6f}"
             )
     return matrix
-
-
-def export_ids(matrix: EmbeddingMatrix, path: str) -> None:
-    """Plain-text sidecar: one row id per line, row order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid in matrix.ids:
-            fh.write(pid + "\n")

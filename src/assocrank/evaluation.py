@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from assocrank import rerank
+from assocrank.embeddings import EmbeddingMatrix
+from assocrank.model import AssocModel, TransformedMatrix
 from assocrank.pairs import QuestionRecord
-from assocrank.rerank import RerankPipeline, ScoredPool, rank_rows
+from assocrank.rerank import RerankConfig, ScoredPool, rank_rows
 
 DEFAULT_KS = (5, 10, 20)
 
@@ -414,18 +417,23 @@ class LatencyStats:
 
 
 def latency_bench(
-    pipeline: RerankPipeline,
+    model: AssocModel,
+    passages: EmbeddingMatrix,
+    transformed: TransformedMatrix,
+    config: RerankConfig,
     queries: np.ndarray,
     warmup: int = 2,
     reps: int = 3,
 ) -> LatencyStats:
     """Per-query wall time by pipeline stage, monotonic clock.
 
-    Stages: candidate_retrieval (dense top-K), query_transform (one forward
-    pass), association_scoring (gather + per-candidate dot products), and
+    Times the functions `rerank.score_pool` is built from. Stages:
+    candidate_retrieval (dense top-K), query_transform (one forward pass),
+    association_scoring (gather + per-candidate dot products), and
     blend_rank; total covers the whole query. `warmup` full passes run
     untimed, then every query is timed `reps` times.
     """
+    rerank._check_pool_inputs(passages, transformed, config)
     if queries.ndim != 2:
         raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
     if warmup < 0 or reps < 1:
@@ -434,14 +442,13 @@ def latency_bench(
 
     def run_once(q, record, sink):
         t0 = time.perf_counter()
-        pool = pipeline.retrieve(q)
+        rows, sims = rerank.top_k(q, passages, config.pool_depth)
         t1 = time.perf_counter()
-        fq = pipeline.transform_query(q)
+        fq = rerank.forward(model, q, degenerate="zero")
         t2 = time.perf_counter()
-        rows = pool.rows()
-        assoc = pipeline.assoc_scores(q, fq, rows)
+        assocs = rerank._association_readout(q, fq, rows, passages, transformed, config.mode)
         t3 = time.perf_counter()
-        pipeline.blend(pool, assoc)
+        rerank._blend_order(ScoredPool("", rows, sims, assocs), config.blend_lambda, config.cutoff)
         t4 = time.perf_counter()
         if record:
             sink["candidate_retrieval"].append(t1 - t0)

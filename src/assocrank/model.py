@@ -127,6 +127,14 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
         raise FloatingPointError(f"non-finite values after {stage}")
 
 
+def _affine(model: AssocModel, h: np.ndarray, i: int) -> np.ndarray:
+    # an overflow surfaces as the FloatingPointError below, not as a warning
+    with np.errstate(over="ignore"):
+        z = h @ model.weights[i].T + model.biases[i]
+    _check_finite(z, f"affine {i}")
+    return z
+
+
 def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
     """Apply f to each row of x. Returns (outputs, cache).
 
@@ -145,8 +153,7 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
     acts = []  # per block: (y, a) with y the LN output
     inputs = [x]
     for i in range(3):
-        z = h @ model.weights[i].T + model.biases[i]
-        _check_finite(z, f"affine {i}")
+        z = _affine(model, h, i)
         mu = z.mean(axis=1, keepdims=True)
         centered = z - mu
         var = (centered * centered).mean(axis=1, keepdims=True)
@@ -159,8 +166,7 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
         acts.append((y, a))
         inputs.append(a)
         h = a
-    g = h @ model.weights[3].T + model.biases[3]
-    _check_finite(g, "affine 3")
+    g = _affine(model, h, 3)
 
     alpha = 1.0 / (1.0 + np.exp(-model.alpha_raw[0]))
     u = alpha * x + (1.0 - alpha) * g

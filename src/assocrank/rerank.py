@@ -21,7 +21,7 @@ import numpy as np
 
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, TransformedMatrix, forward
-from assocrank.search import CandidatePool, top_k
+from assocrank.search import top_k
 
 SCORING_MODES = ("forward_only", "reverse_only", "both_transformed", "mixed_bidi")
 
@@ -84,64 +84,48 @@ class ScoredPool:
     assocs: np.ndarray
 
 
-def _assoc_from_parts(
+def _check_pool_inputs(
+    passages: EmbeddingMatrix, transformed: TransformedMatrix, config: RerankConfig
+) -> None:
+    config.validate()
+    if len(transformed.ids) != passages.rows:
+        raise ValueError("transformed matrix does not match the passage matrix")
+
+
+def _association_readout(
     query: np.ndarray,
     fq: np.ndarray,
-    pool_vecs: np.ndarray,
-    pool_transformed: np.ndarray,
+    rows: np.ndarray,
+    passages: EmbeddingMatrix,
+    transformed: TransformedMatrix,
     mode: str,
 ) -> np.ndarray:
+    """Association scores of the pool `rows` under a scoring mode, given f(q)."""
+    pool_vecs = passages.data[rows]
+    pool_transformed = transformed.data[rows]
     if mode == "forward_only":
-        return pool_vecs @ fq
-    if mode == "reverse_only":
-        return pool_transformed @ query
-    if mode == "both_transformed":
-        return pool_transformed @ fq
-    if mode == "mixed_bidi":
-        return 0.5 * (pool_vecs @ fq + pool_transformed @ query)
-    raise ValueError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
+        assoc = pool_vecs @ fq
+    elif mode == "reverse_only":
+        assoc = pool_transformed @ query
+    elif mode == "both_transformed":
+        assoc = pool_transformed @ fq
+    elif mode == "mixed_bidi":
+        assoc = 0.5 * (pool_vecs @ fq + pool_transformed @ query)
+    else:
+        raise ValueError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
+    return np.asarray(assoc, dtype=np.float32)
 
 
-def association_score(
-    model: AssocModel,
-    query: np.ndarray,
-    passage: np.ndarray,
-    passage_transformed: np.ndarray,
-    mode: str = "mixed_bidi",
-) -> float:
-    """Association score of one (query, passage) pair under a scoring mode."""
-    q = np.asarray(query, dtype=model.dtype)
-    fq = forward(model, q, degenerate="zero")
-    out = _assoc_from_parts(
-        q, fq, np.asarray(passage, dtype=model.dtype)[None, :],
-        np.asarray(passage_transformed, dtype=model.dtype)[None, :], mode,
-    )
-    return float(out[0])
+def _blend_order(
+    scored: ScoredPool, blend_lambda: float, cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pool positions of the blended top-`cutoff`, and the blended scores.
 
-
-def blend_and_rerank(
-    pool: CandidatePool, assoc_scores: np.ndarray, config: RerankConfig
-) -> list[RankedCandidate]:
-    """Rescore a pool with (1 - lambda) * sim + lambda * assoc and truncate.
-
-    assoc_scores aligns with the pool's candidate order. Ties in the blended
-    score break toward the lower passage row, matching dense retrieval.
+    Blends (1 - lambda) * sim + lambda * assoc; ties in the blended score
+    break toward the lower passage row, matching dense retrieval.
     """
-    config.validate()
-    assoc = np.asarray(assoc_scores, dtype=np.float32)
-    if assoc.shape != (len(pool),):
-        raise ValueError(f"assoc_scores shape {assoc.shape} does not match pool size {len(pool)}")
-    if len(pool) < config.cutoff:
-        raise ValueError(f"pool size {len(pool)} is below cutoff {config.cutoff}")
-    rows = pool.rows()
-    sims = pool.scores()
-    lam = config.blend_lambda
-    blended = (1.0 - lam) * sims + lam * assoc
-    order = np.lexsort((rows, -blended))[: config.cutoff]
-    return [
-        RankedCandidate(int(rows[i]), float(sims[i]), float(assoc[i]), float(blended[i]))
-        for i in order
-    ]
+    blended = (1.0 - blend_lambda) * scored.sims + blend_lambda * scored.assocs
+    return np.lexsort((scored.rows, -blended))[:cutoff], blended
 
 
 def score_pool(
@@ -153,25 +137,17 @@ def score_pool(
     config: RerankConfig,
 ) -> ScoredPool:
     """Retrieve a dense pool and attach association scores (dense order)."""
-    config.validate()
-    if len(transformed.ids) != passages.rows:
-        raise ValueError("transformed matrix does not match the passage matrix")
+    _check_pool_inputs(passages, transformed, config)
     q = np.asarray(query, dtype=np.float32)
-    pool = top_k(q, passages, config.pool_depth, query_id=query_id)
-    rows = pool.rows()
+    rows, sims = top_k(q, passages, config.pool_depth)
     fq = forward(model, q, degenerate="zero")
-    assoc = _assoc_from_parts(
-        q, fq, passages.data[rows], transformed.data[rows], config.mode
-    )
-    return ScoredPool(
-        query_id=query_id, rows=rows, sims=pool.scores(), assocs=np.asarray(assoc, dtype=np.float32)
-    )
+    assocs = _association_readout(q, fq, rows, passages, transformed, config.mode)
+    return ScoredPool(query_id=query_id, rows=rows, sims=sims, assocs=assocs)
 
 
 def rank_rows(scored: ScoredPool, blend_lambda: float, cutoff: int) -> np.ndarray:
     """Row indices of the blended top-`cutoff`, reusing precomputed scores."""
-    blended = (1.0 - blend_lambda) * scored.sims + blend_lambda * scored.assocs
-    order = np.lexsort((scored.rows, -blended))[:cutoff]
+    order, _ = _blend_order(scored, blend_lambda, cutoff)
     return scored.rows[order]
 
 
@@ -185,9 +161,7 @@ def rerank_query(
 ) -> RerankResult:
     """Full per-query pipeline: dense pool, association scores, blend."""
     scored = score_pool(query_id, query, passages, transformed, model, config)
-    lam = config.blend_lambda
-    blended = (1.0 - lam) * scored.sims + lam * scored.assocs
-    order = np.lexsort((scored.rows, -blended))[: config.cutoff]
+    order, blended = _blend_order(scored, config.blend_lambda, config.cutoff)
     entries = [
         RankedCandidate(
             int(scored.rows[i]),
@@ -198,43 +172,3 @@ def rerank_query(
         for i in order
     ]
     return RerankResult(query_id=query_id, entries=entries)
-
-
-class RerankPipeline:
-    """Bundles corpus, transform, and config; exposes the timed stages."""
-
-    def __init__(
-        self,
-        model: AssocModel,
-        passages: EmbeddingMatrix,
-        transformed: TransformedMatrix,
-        config: RerankConfig,
-    ):
-        config.validate()
-        if len(transformed.ids) != passages.rows:
-            raise ValueError("transformed matrix does not match the passage matrix")
-        self.model = model
-        self.passages = passages
-        self.transformed = transformed
-        self.config = config
-
-    def retrieve(self, query: np.ndarray, query_id: str = "") -> CandidatePool:
-        return top_k(query, self.passages, self.config.pool_depth, query_id=query_id)
-
-    def transform_query(self, query: np.ndarray) -> np.ndarray:
-        return forward(self.model, query, degenerate="zero")
-
-    def assoc_scores(self, query: np.ndarray, fq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _assoc_from_parts(
-            query, fq, self.passages.data[rows], self.transformed.data[rows], self.config.mode
-        )
-
-    def blend(self, pool: CandidatePool, assoc: np.ndarray) -> list[RankedCandidate]:
-        return blend_and_rerank(pool, assoc, self.config)
-
-    def rerank(self, query_id: str, query: np.ndarray) -> RerankResult:
-        q = np.asarray(query, dtype=np.float32)
-        pool = self.retrieve(q, query_id)
-        fq = self.transform_query(q)
-        assoc = self.assoc_scores(q, fq, pool.rows())
-        return RerankResult(query_id=query_id, entries=self.blend(pool, assoc))

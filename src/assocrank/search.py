@@ -7,81 +7,24 @@ so pools are fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from assocrank.embeddings import EmbeddingMatrix
 
-QUERY_CHUNK = 256
 
+def top_k(query: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-K of `passages` by inner product with `query`.
 
-@dataclass(frozen=True)
-class Candidate:
-    passage_row: int
-    score: float
-
-
-@dataclass
-class CandidatePool:
-    query_id: str
-    candidates: list[Candidate]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def rows(self) -> np.ndarray:
-        return np.array([c.passage_row for c in self.candidates], dtype=np.int64)
-
-    def scores(self) -> np.ndarray:
-        return np.array([c.score for c in self.candidates], dtype=np.float32)
-
-
-def _check_query(query: np.ndarray, passages: EmbeddingMatrix) -> np.ndarray:
+    Returns (rows, scores): int64 row indices and their float32 scores, best
+    first.
+    """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 1 or q.shape[0] != passages.dim:
         raise ValueError(f"query shape {q.shape} does not match passage dim {passages.dim}")
-    return q
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"K={k} out of range for {n} passages")
-
-
-def _top_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort on the negated scores: equal scores keep ascending row order
-    return np.argsort(-scores, kind="stable")[:k]
-
-
-def top_k(query: np.ndarray, passages: EmbeddingMatrix, k: int, query_id: str = "") -> CandidatePool:
-    """Exact top-K rows of `passages` by inner product with `query`."""
-    q = _check_query(query, passages)
-    _check_k(k, passages.rows)
+    if not 1 <= k <= passages.rows:
+        raise ValueError(f"K={k} out of range for {passages.rows} passages")
     scores = passages.data @ q
-    order = _top_rows(scores, k)
-    return CandidatePool(
-        query_id=query_id,
-        candidates=[Candidate(int(r), float(scores[r])) for r in order],
-    )
-
-
-def batch_top_k(queries: EmbeddingMatrix, passages: EmbeddingMatrix, k: int) -> list[CandidatePool]:
-    """top_k for every query row, chunked to bound the score-matrix size."""
-    if queries.dim != passages.dim:
-        raise ValueError(f"query dim {queries.dim} does not match passage dim {passages.dim}")
-    _check_k(k, passages.rows)
-    pools: list[CandidatePool] = []
-    for start in range(0, queries.rows, QUERY_CHUNK):
-        block = queries.data[start : start + QUERY_CHUNK]
-        scores = block @ passages.data.T
-        for i in range(block.shape[0]):
-            row_scores = scores[i]
-            order = _top_rows(row_scores, k)
-            pools.append(
-                CandidatePool(
-                    query_id=queries.ids[start + i],
-                    candidates=[Candidate(int(r), float(row_scores[r])) for r in order],
-                )
-            )
-    return pools
+    # stable sort on the negated scores: equal scores keep ascending row order;
+    # astype copies, so a kept pool does not hold the full N-row sort alive
+    rows = np.argsort(-scores, kind="stable")[:k].astype(np.int64)
+    return rows, scores[rows]

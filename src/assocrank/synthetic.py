@@ -212,9 +212,3 @@ def generate_full(spec: SyntheticSpec) -> SyntheticData:
         pid = ids[placement[j]]
         texts[pid] = f"filler{j:05d} background passage {pid}"
     return SyntheticData(passages=passages, queries=query_matrix, records=records, texts=texts)
-
-
-def generate(spec: SyntheticSpec):
-    """(passages, queries, records) for a planted-association benchmark."""
-    data = generate_full(spec)
-    return data.passages, data.queries, data.records

@@ -20,7 +20,7 @@ from assocrank.cli import (
     main,
     parse_config_file,
 )
-from assocrank.model import AssocModel, load_model
+from assocrank.model import AssocModel, load_model, save_model
 
 ALL_COMMANDS = ["synth", "pairs", "train", "rerank", "eval", "sweep", "bench"]
 
@@ -335,6 +335,43 @@ class TestErrors:
         self.run_expecting_error(
             ["synth", "--config", str(bad)], capsys, ":1: expected key = value"
         )
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("synth.n_passages", "invalid literal for int() with base 10: 'oops'"),
+            ("synth.noise_scale", "could not convert string to float: 'oops'"),
+        ],
+        ids=["int", "float"],
+    )
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, key, message):
+        argv = ["synth", "--set", f"passages={tmp_path / 'p.aare'}", "--set", f"{key}=oops"]
+        err = self.run_expecting_error(argv, capsys, message)
+        assert err == f"error: config: {key}: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_activation(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["synth.n_passages"] = 120
+        cfg["synth.n_questions"] = 6
+        cfg["train.epochs"] = 0
+        cfg["train.batch_size"] = 2
+        cfg["rerank.pool_depth"] = 20
+        config_path = tmp_path / "run.cfg"
+        write_config(config_path, cfg)
+        for command in ("synth", "pairs", "train"):
+            assert main([command, "--config", str(config_path)]) == 0
+        model = load_model(cfg["checkpoint"])
+        for weight in model.weights:
+            weight[:] = 3e38
+        save_model(model, cfg["checkpoint"])
+        capsys.readouterr()
+        err = self.run_expecting_error(
+            ["rerank", "--config", str(config_path)], capsys, "non-finite values after affine 0"
+        )
+        assert err.startswith("error: FloatingPointError: ")
+        assert not os.path.exists(cfg["rerank.out"])
 
     def test_bad_rerank_lambda(self, tmp_path, capsys):
         root = tmp_path

@@ -15,7 +15,6 @@ from assocrank.embeddings import (
     VERSION,
     EmbeddingMatrix,
     FormatError,
-    export_ids,
     l2_normalize_rows,
     load_matrix,
     save_matrix,
@@ -75,13 +74,6 @@ class TestMatrixBasics:
         m = random_matrix(np.random.default_rng(2), 3, 2)
         assert "id0001" in m
         assert "missing" not in m
-
-    def test_id_map_is_a_copy(self):
-        m = random_matrix(np.random.default_rng(3), 4, 2)
-        im = m.id_map()
-        assert im.backward == m.ids
-        im.forward["id0000"] = 99
-        assert m.row("id0000") == 0
 
     def test_data_coerced_to_float32_contiguous(self):
         data = np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]
@@ -230,10 +222,3 @@ class TestLoadValidation:
             load_matrix(str(path))
         back = load_matrix(str(path), validate_norms=False)
         assert back.normalized
-
-
-def test_export_ids(tmp_path):
-    m = random_matrix(np.random.default_rng(40), 5, 2)
-    path = tmp_path / "ids.txt"
-    export_ids(m, str(path))
-    assert path.read_text().splitlines() == m.ids

@@ -24,8 +24,7 @@ from assocrank.evaluation import (
 )
 from assocrank.model import AssocModel, transform_matrix
 from assocrank.pairs import QuestionRecord
-from assocrank.rerank import RerankConfig, RerankPipeline, ScoredPool, score_pool
-from assocrank.search import top_k
+from assocrank.rerank import RerankConfig, ScoredPool, score_pool
 
 
 def record(qid, gold, split="validation", answer="x", text=""):
@@ -493,12 +492,13 @@ class TestRankMovement:
 
 
 def tiny_pipeline(rng, n=80, d=12):
+    """(model, passages, transformed, config), the leading latency_bench arguments."""
     data = rng.normal(size=(n, d)).astype(np.float32)
     passages = l2_normalize_rows(EmbeddingMatrix(ids=[f"p{i}" for i in range(n)], data=data))
     model = AssocModel.initialize(d, seed=0)
     transformed = transform_matrix(model, passages)
     cfg = RerankConfig(pool_depth=10, cutoff=5)
-    return RerankPipeline(model, passages, transformed, cfg)
+    return model, passages, transformed, cfg
 
 
 class TestLatencyBench:
@@ -506,7 +506,7 @@ class TestLatencyBench:
         rng = np.random.default_rng(10)
         pipe = tiny_pipeline(rng)
         queries = rng.normal(size=(3, 12)).astype(np.float32)
-        stats = latency_bench(pipe, queries, warmup=0, reps=1)
+        stats = latency_bench(*pipe, queries, warmup=0, reps=1)
         expected = {
             "candidate_retrieval",
             "query_transform",
@@ -528,7 +528,7 @@ class TestLatencyBench:
         rng = np.random.default_rng(11)
         pipe = tiny_pipeline(rng)
         q = rng.normal(size=(1, 12)).astype(np.float32)
-        stats = latency_bench(pipe, q, warmup=0, reps=1)
+        stats = latency_bench(*pipe, q, warmup=0, reps=1)
         t = stats.components["total"]
         assert t.mean_ms == pytest.approx(t.p95_ms)
 
@@ -536,12 +536,18 @@ class TestLatencyBench:
         rng = np.random.default_rng(12)
         pipe = tiny_pipeline(rng)
         with pytest.raises(ValueError, match="2-D"):
-            latency_bench(pipe, np.zeros(12, dtype=np.float32))
+            latency_bench(*pipe, np.zeros(12, dtype=np.float32))
         q = np.zeros((1, 12), dtype=np.float32)
         with pytest.raises(ValueError, match="warmup"):
-            latency_bench(pipe, q, warmup=-1)
+            latency_bench(*pipe, q, warmup=-1)
         with pytest.raises(ValueError, match="reps"):
-            latency_bench(pipe, q, reps=0)
+            latency_bench(*pipe, q, reps=0)
+        model, passages, transformed, _ = pipe
+        with pytest.raises(ValueError, match="cutoff"):
+            latency_bench(model, passages, transformed, RerankConfig(pool_depth=3, cutoff=5), q)
+        transformed.ids = transformed.ids[:-1]
+        with pytest.raises(ValueError, match="does not match"):
+            latency_bench(model, passages, transformed, RerankConfig(pool_depth=10, cutoff=5), q)
 
     def test_json_shape(self):
         stats = LatencyStats(components={"total": ComponentTiming(1.5, 2.5)})

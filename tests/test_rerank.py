@@ -4,25 +4,31 @@ import numpy as np
 import pytest
 
 from assocrank.embeddings import EmbeddingMatrix, l2_normalize_rows
-from assocrank.model import AssocModel, transform_matrix
+from assocrank.model import AssocModel, forward, transform_matrix
 from assocrank.rerank import (
     SCORING_MODES,
     RerankConfig,
-    RerankPipeline,
-    association_score,
-    blend_and_rerank,
+    ScoredPool,
+    _blend_order,
     rank_rows,
     rerank_query,
     score_pool,
 )
-from assocrank.search import Candidate, CandidatePool, top_k
+from assocrank.search import top_k
 
 
-def pool_of(rows, scores, query_id="q"):
-    return CandidatePool(
-        query_id=query_id,
-        candidates=[Candidate(r, s) for r, s in zip(rows, scores)],
+def pool_of(rows, sims, assocs):
+    return ScoredPool(
+        query_id="q",
+        rows=np.asarray(rows, dtype=np.int64),
+        sims=np.asarray(sims, dtype=np.float32),
+        assocs=np.asarray(assocs, dtype=np.float32),
     )
+
+
+def blend_rows(pool, blend_lambda, cutoff):
+    order, blended = _blend_order(pool, blend_lambda, cutoff)
+    return pool.rows[order].tolist(), blended[order].tolist()
 
 
 def unit_corpus(rng, n, d, prefix="p"):
@@ -40,6 +46,20 @@ def pipeline_parts(rng, n=300, d=24, model_seed=0, perturb=True):
             model.ln_shifts[i][:] = rng.normal(scale=0.1, size=d).astype(np.float32)
     transformed = transform_matrix(model, passages)
     return passages, model, transformed
+
+
+def reference_assoc(model, q, p, tp, mode):
+    """Float64 association score of one (query, passage) pair."""
+    q = np.asarray(q, dtype=np.float64)
+    fq = forward(model, q.astype(np.float32), degenerate="zero").astype(np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    tp = np.asarray(tp, dtype=np.float64)
+    return {
+        "forward_only": fq @ p,
+        "reverse_only": q @ tp,
+        "both_transformed": fq @ tp,
+        "mixed_bidi": 0.5 * (fq @ p + q @ tp),
+    }[mode]
 
 
 class TestConfig:
@@ -68,13 +88,11 @@ class TestConfig:
 
 class TestBlend:
     def test_three_candidate_hand_example(self):
-        pool = pool_of([0, 1, 2], [0.9, 0.5, 0.4])
-        assoc = np.array([0.1, 0.9, 0.8], dtype=np.float32)
-        cfg = RerankConfig(blend_lambda=0.6, pool_depth=3, cutoff=3)
-        entries = blend_and_rerank(pool, assoc, cfg)
-        assert [e.passage_row for e in entries] == [1, 2, 0]
-        got = np.array([e.blended for e in entries])
-        assert np.abs(got - np.array([0.74, 0.64, 0.42])).max() < 1e-6
+        pool = pool_of([0, 1, 2], [0.9, 0.5, 0.4], [0.1, 0.9, 0.8])
+        rows, blended = blend_rows(pool, 0.6, 3)
+        assert rows == [1, 2, 0]
+        assert np.abs(np.array(blended) - np.array([0.74, 0.64, 0.42])).max() < 1e-6
+        assert rank_rows(pool, 0.6, 3).tolist() == rows
 
     def test_lambda_zero_keeps_dense_order_exactly(self):
         rng = np.random.default_rng(0)
@@ -85,64 +103,48 @@ class TestBlend:
                 sims[: n // 2] = sims[0]  # duplicated leading scores
                 sims = np.sort(sims)[::-1]
             rows = np.arange(n)
-            pool = pool_of(rows.tolist(), sims.tolist())
-            assoc = rng.normal(size=n).astype(np.float32)
-            cfg = RerankConfig(blend_lambda=0.0, pool_depth=n, cutoff=n)
-            entries = blend_and_rerank(pool, assoc, cfg)
-            assert [e.passage_row for e in entries] == rows.tolist()
-            assert [e.blended for e in entries] == sims.tolist()
+            pool = pool_of(rows, sims, rng.normal(size=n))
+            got_rows, blended = blend_rows(pool, 0.0, n)
+            assert got_rows == rows.tolist()
+            assert blended == sims.tolist()
 
     def test_lambda_one_sorts_by_association(self):
         rng = np.random.default_rng(1)
         n = 30
-        pool = pool_of(list(range(n)), np.sort(rng.normal(size=n))[::-1].tolist())
         assoc = rng.normal(size=n).astype(np.float32)
-        cfg = RerankConfig(blend_lambda=1.0, pool_depth=n, cutoff=n)
-        entries = blend_and_rerank(pool, assoc, cfg)
+        pool = pool_of(range(n), np.sort(rng.normal(size=n))[::-1], assoc)
         expected = sorted(range(n), key=lambda i: (-assoc[i], i))
-        assert [e.passage_row for e in entries] == expected
+        assert rank_rows(pool, 1.0, n).tolist() == expected
 
     def test_blended_ties_break_toward_lower_row(self):
-        pool = pool_of([30, 10], [0.5, 0.5])
-        assoc = np.array([0.2, 0.2], dtype=np.float32)
-        cfg = RerankConfig(blend_lambda=0.5, pool_depth=2, cutoff=2)
-        entries = blend_and_rerank(pool, assoc, cfg)
-        assert [e.passage_row for e in entries] == [10, 30]
+        pool = pool_of([30, 10], [0.5, 0.5], [0.2, 0.2])
+        assert rank_rows(pool, 0.5, 2).tolist() == [10, 30]
 
     def test_cutoff_truncates(self):
-        pool = pool_of([0, 1, 2, 3], [0.9, 0.8, 0.7, 0.6])
-        assoc = np.zeros(4, dtype=np.float32)
-        cfg = RerankConfig(blend_lambda=0.0, pool_depth=4, cutoff=2)
-        assert len(blend_and_rerank(pool, assoc, cfg)) == 2
-
-    def test_assoc_shape_must_match_pool(self):
-        pool = pool_of([0, 1], [0.9, 0.8])
-        cfg = RerankConfig(pool_depth=2, cutoff=1)
-        with pytest.raises(ValueError, match="does not match pool size"):
-            blend_and_rerank(pool, np.zeros(3, dtype=np.float32), cfg)
-
-    def test_pool_below_cutoff(self):
-        pool = pool_of([0, 1], [0.9, 0.8])
-        cfg = RerankConfig(pool_depth=10, cutoff=5)
-        with pytest.raises(ValueError, match="below cutoff"):
-            blend_and_rerank(pool, np.zeros(2, dtype=np.float32), cfg)
+        pool = pool_of([0, 1, 2, 3], [0.9, 0.8, 0.7, 0.6], np.zeros(4))
+        assert rank_rows(pool, 0.0, 2).tolist() == [0, 1]
 
 
 class TestModes:
+    def scored_by_mode(self, q, passages, transformed, model, depth=30):
+        return {
+            mode: score_pool(
+                "q", q, passages, transformed, model,
+                RerankConfig(pool_depth=depth, cutoff=5, mode=mode),
+            )
+            for mode in SCORING_MODES
+        }
+
     def test_mixed_is_mean_of_directed_modes(self):
         rng = np.random.default_rng(2)
         passages, model, transformed = pipeline_parts(rng)
         q = rng.normal(size=24).astype(np.float32)
         q /= np.linalg.norm(q)
-        for row in (0, 7, 131):
-            parts = {
-                mode: association_score(
-                    model, q, passages.data[row], transformed.data[row], mode
-                )
-                for mode in SCORING_MODES
-            }
-            mean = 0.5 * (parts["forward_only"] + parts["reverse_only"])
-            assert abs(parts["mixed_bidi"] - mean) < 1e-6
+        parts = self.scored_by_mode(q, passages, transformed, model)
+        for mode in SCORING_MODES:
+            assert parts[mode].rows.tolist() == parts["mixed_bidi"].rows.tolist()
+        mean = 0.5 * (parts["forward_only"].assocs + parts["reverse_only"].assocs)
+        assert np.abs(parts["mixed_bidi"].assocs - mean).max() < 1e-6
 
     def test_modes_collapse_under_saturated_gate(self):
         # alpha_raw = 20 makes f plain normalization, so all modes agree with
@@ -153,20 +155,16 @@ class TestModes:
         transformed = transform_matrix(model, passages)
         q = rng.normal(size=24).astype(np.float32)
         q /= np.linalg.norm(q)
-        for row in (1, 44, 200):
-            raw = float(passages.data[row] @ q)
-            for mode in SCORING_MODES:
-                got = association_score(
-                    model, q, passages.data[row], transformed.data[row], mode
-                )
-                assert abs(got - raw) < 1e-5
+        for mode, scored in self.scored_by_mode(q, passages, transformed, model).items():
+            raw = passages.data[scored.rows].astype(np.float64) @ q.astype(np.float64)
+            assert np.abs(scored.assocs - raw).max() < 1e-5, mode
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(4)
         passages, model, transformed = pipeline_parts(rng, n=10)
+        cfg = RerankConfig(pool_depth=5, cutoff=2, mode="sideways")
         with pytest.raises(ValueError, match="mode must be"):
-            association_score(model, passages.data[0], passages.data[1],
-                              transformed.data[1], "sideways")
+            score_pool("q", passages.data[0], passages, transformed, model, cfg)
 
 
 class TestScorePool:
@@ -174,25 +172,29 @@ class TestScorePool:
         rng = np.random.default_rng(5)
         passages, model, transformed = pipeline_parts(rng)
         q = rng.normal(size=24).astype(np.float32)
-        cfg = RerankConfig(pool_depth=20, cutoff=5)
-        scored = score_pool("q0", q, passages, transformed, model, cfg)
-        assert scored.rows.shape == (20,)
-        for slot in (0, 3, 19):
-            row = int(scored.rows[slot])
-            single = association_score(
-                model, q, passages.data[row], transformed.data[row], cfg.mode
-            )
-            assert abs(single - float(scored.assocs[slot])) < 1e-6
+        for mode in SCORING_MODES:
+            cfg = RerankConfig(pool_depth=20, cutoff=5, mode=mode)
+            scored = score_pool("q0", q, passages, transformed, model, cfg)
+            assert scored.rows.shape == (20,)
+            assert scored.assocs.dtype == np.float32
+            for slot in (0, 3, 19):
+                row = int(scored.rows[slot])
+                single = reference_assoc(
+                    model, q, passages.data[row], transformed.data[row], mode
+                )
+                assert abs(single - float(scored.assocs[slot])) < 1e-6, mode
 
     def test_sims_match_dense_pool(self):
         rng = np.random.default_rng(6)
         passages, model, transformed = pipeline_parts(rng)
         q = rng.normal(size=24).astype(np.float32)
-        cfg = RerankConfig(pool_depth=15, cutoff=5)
-        scored = score_pool("q0", q, passages, transformed, model, cfg)
-        dense = top_k(q, passages, 15)
-        assert scored.rows.tolist() == dense.rows().tolist()
-        assert scored.sims.tolist() == dense.scores().tolist()
+        dense_rows, dense_sims = top_k(q, passages, 15)
+        for mode in SCORING_MODES:
+            cfg = RerankConfig(pool_depth=15, cutoff=5, mode=mode)
+            scored = score_pool("q0", q, passages, transformed, model, cfg)
+            assert scored.query_id == "q0"
+            assert scored.rows.tolist() == dense_rows.tolist()
+            assert scored.sims.tolist() == dense_sims.tolist()
 
     def test_transformed_must_match(self):
         rng = np.random.default_rng(7)
@@ -211,7 +213,7 @@ class TestRerankQuery:
             q = rng.normal(size=24).astype(np.float32)
             result = rerank_query("q", q, passages, transformed, model, cfg)
             assert len(result.entries) == 7
-            dense_rows = set(top_k(q, passages, 40).rows().tolist())
+            dense_rows = set(top_k(q, passages, 40)[0].tolist())
             assert {e.passage_row for e in result.entries} <= dense_rows
 
     def test_noop_guarantee_under_saturated_gate(self):
@@ -226,7 +228,7 @@ class TestRerankQuery:
                 for qi in range(queries.rows):
                     q = queries.data[qi]
                     got = rerank_query("q", q, passages, transformed, model, cfg)
-                    dense = top_k(q, passages, 50).rows()[:10]
+                    dense = top_k(q, passages, 50)[0][:10]
                     assert [e.passage_row for e in got.entries] == dense.tolist()
 
     def test_rank_rows_agrees_with_full_result(self):
@@ -254,21 +256,49 @@ class TestRerankQuery:
 
 class TestPipeline:
     def test_stagewise_equals_one_shot(self):
+        # Duplicated passage rows make many pool scores exactly equal, so the
+        # tie rule decides much of the order. rerank_query, rank_rows over
+        # score_pool, and a float64 sort by (-blended, row) must all agree.
         rng = np.random.default_rng(12)
-        passages, model, transformed = pipeline_parts(rng)
-        cfg = RerankConfig(pool_depth=30, cutoff=5)
-        pipe = RerankPipeline(model, passages, transformed, cfg)
-        q = rng.normal(size=24).astype(np.float32)
-        pool = pipe.retrieve(q, "q1")
-        fq = pipe.transform_query(q)
-        assoc = pipe.assoc_scores(q, fq, pool.rows())
-        entries = pipe.blend(pool, assoc)
-        one_shot = pipe.rerank("q1", q)
-        assert [e.passage_row for e in entries] == [e.passage_row for e in one_shot.entries]
+        passages, model, transformed = pipeline_parts(rng, n=240)
+        data = passages.data.copy()
+        src = rng.integers(0, 240, size=60)
+        dst = rng.integers(0, 240, size=60)
+        data[dst] = data[src]
+        passages = EmbeddingMatrix(ids=passages.ids, data=data, normalized=True)
+        transformed = transform_matrix(model, passages)
+        depth = 40
+        queries = data[src[:6]] + 0.05 * rng.normal(size=(6, 24)).astype(np.float32)
+        tied_pools = tied_blends = 0
+        for lam in (0.0, 0.5, 1.0):
+            for mode in SCORING_MODES:
+                cfg = RerankConfig(blend_lambda=lam, pool_depth=depth, cutoff=depth, mode=mode)
+                for q in queries:
+                    scored = score_pool("q", q, passages, transformed, model, cfg)
+                    one_shot = rerank_query("q", q, passages, transformed, model, cfg)
+                    got = [e.passage_row for e in one_shot.entries]
+                    assert rank_rows(scored, lam, depth).tolist() == got
+                    # sims and assocs are float32 and, for these lambdas, each
+                    # product is exact, so one rounding of the float64 blend
+                    # to float32 gives the product's blended scores and ties
+                    exact = (1.0 - lam) * scored.sims.astype(np.float64) + lam * scored.assocs.astype(
+                        np.float64
+                    )
+                    blended = exact.astype(np.float32)
+                    expected = sorted(
+                        range(depth), key=lambda i: (-float(blended[i]), int(scored.rows[i]))
+                    )
+                    assert got == scored.rows[expected].tolist(), (lam, mode)
+                    assert [e.blended for e in one_shot.entries] == blended[expected].tolist()
+                    tied_pools += len(set(scored.sims.tolist())) < depth
+                    tied_blends += len(set(blended.tolist())) < depth
+        assert tied_pools > 0 and tied_blends > 0
 
     def test_mismatched_transform_rejected(self):
         rng = np.random.default_rng(13)
         passages, model, transformed = pipeline_parts(rng, n=10)
         transformed.ids = transformed.ids[:-1]
         with pytest.raises(ValueError, match="does not match"):
-            RerankPipeline(model, passages, transformed, RerankConfig(pool_depth=5, cutoff=2))
+            rerank_query(
+                "q", passages.data[0], passages, transformed, model, RerankConfig(pool_depth=5, cutoff=2)
+            )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from assocrank.embeddings import EmbeddingMatrix
-from assocrank.search import QUERY_CHUNK, batch_top_k, top_k
+from assocrank.search import top_k
 
 
 def oracle_top_k(query, data, k):
@@ -32,27 +32,25 @@ class TestTopK:
                 dup = rng.integers(0, n, size=max(2, n // 8))
                 data[dup] = data[dup[0]]
             q = rng.normal(size=d).astype(np.float32)
-            pool = top_k(q, matrix_from(data), k)
+            rows, _ = top_k(q, matrix_from(data), k)
             expected = oracle_top_k(q, data, k)
-            assert pool.rows().tolist() == expected
+            assert rows.tolist() == expected
 
     def test_tied_rows_keep_ascending_row_order(self):
         data = np.tile(np.array([[1.0, 0.0]], dtype=np.float32), (6, 1))
         q = np.array([1.0, 0.0], dtype=np.float32)
-        pool = top_k(q, matrix_from(data), 4)
-        assert pool.rows().tolist() == [0, 1, 2, 3]
+        rows, _ = top_k(q, matrix_from(data), 4)
+        assert rows.tolist() == [0, 1, 2, 3]
 
     def test_scores_are_descending(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(40, 6)).astype(np.float32)
-        pool = top_k(rng.normal(size=6).astype(np.float32), matrix_from(data), 40)
-        s = pool.scores()
+        q = rng.normal(size=6).astype(np.float32)
+        rows, s = top_k(q, matrix_from(data), 40)
+        assert rows.dtype == np.int64 and s.dtype == np.float32
+        assert rows.base is None  # owns its K entries, not a view of the full sort
         assert np.all(np.diff(s) <= 0)
-
-    def test_query_id_carried(self):
-        data = np.eye(3, dtype=np.float32)
-        pool = top_k(data[0], matrix_from(data), 1, query_id="q42")
-        assert pool.query_id == "q42"
+        np.testing.assert_allclose(s, data[rows] @ q, rtol=1e-6, atol=1e-6)
 
     def test_k_out_of_range(self):
         m = matrix_from(np.eye(3, dtype=np.float32))
@@ -67,36 +65,3 @@ class TestTopK:
         with pytest.raises(ValueError, match="does not match"):
             top_k(np.ones(5, dtype=np.float32), m, 1)
 
-
-class TestBatchTopK:
-    def test_agrees_with_single_query_path(self):
-        rng = np.random.default_rng(9)
-        data = rng.normal(size=(300, 12)).astype(np.float32)
-        passages = matrix_from(data)
-        qdata = rng.normal(size=(17, 12)).astype(np.float32)
-        queries = EmbeddingMatrix(ids=[f"q{i}" for i in range(17)], data=qdata)
-        pools = batch_top_k(queries, passages, 25)
-        assert len(pools) == 17
-        for i, pool in enumerate(pools):
-            single = top_k(qdata[i], passages, 25)
-            assert pool.query_id == f"q{i}"
-            assert pool.rows().tolist() == single.rows().tolist()
-
-    def test_chunk_boundary(self):
-        # more queries than one chunk, exercising the block loop
-        rng = np.random.default_rng(10)
-        n_q = QUERY_CHUNK + 3
-        data = rng.normal(size=(50, 4)).astype(np.float32)
-        passages = matrix_from(data)
-        qdata = rng.normal(size=(n_q, 4)).astype(np.float32)
-        queries = EmbeddingMatrix(ids=[f"q{i}" for i in range(n_q)], data=qdata)
-        pools = batch_top_k(queries, passages, 5)
-        assert [p.query_id for p in pools] == [f"q{i}" for i in range(n_q)]
-        for i in (0, QUERY_CHUNK - 1, QUERY_CHUNK, n_q - 1):
-            assert pools[i].rows().tolist() == top_k(qdata[i], passages, 5).rows().tolist()
-
-    def test_dim_mismatch(self):
-        passages = matrix_from(np.eye(3, dtype=np.float32))
-        queries = matrix_from(np.eye(4, dtype=np.float32))
-        with pytest.raises(ValueError, match="does not match"):
-            batch_top_k(queries, passages, 1)

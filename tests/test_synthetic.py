@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from assocrank.search import batch_top_k
-from assocrank.synthetic import SyntheticData, SyntheticSpec, generate, generate_full
+from assocrank.search import top_k
+from assocrank.synthetic import SyntheticData, SyntheticSpec, generate_full
 
 DEFAULT = SyntheticSpec()  # 5000 passages, dim 64, 500 questions, 2 hops, seed 42
 
@@ -64,7 +64,7 @@ class TestSpecValidation:
             bridge_offset_rank=3,
         )
         with pytest.raises(ValueError, match="infeasible geometry"):
-            generate(spec)
+            generate_full(spec)
 
 
 class TestGeneration:
@@ -97,10 +97,10 @@ class TestGeneration:
             assert mat.normalized
 
     def test_empty_question_corpus(self):
-        p, q, r = generate(self.small(n_questions=0))
-        assert p.data.shape == (300, 16)
-        assert q.data.shape[0] == 0
-        assert r == []
+        data = generate_full(self.small(n_questions=0))
+        assert data.passages.data.shape == (300, 16)
+        assert data.queries.data.shape[0] == 0
+        assert data.records == []
 
     def test_shapes_ids_texts(self):
         data = generate_full(self.small())
@@ -152,13 +152,6 @@ class TestGeneration:
             by_topic.setdefault(topic, set()).add(tuple(rec.gold_passage_ids))
         assert all(len(golds) == 1 for golds in by_topic.values())
 
-    def test_generate_tuple_matches_full(self):
-        spec = self.small()
-        p, q, r = generate(spec)
-        full = generate_full(spec)
-        assert np.array_equal(p.data, full.passages.data)
-        assert [rec.question_id for rec in r] == [rec.question_id for rec in full.records]
-
 
 @pytest.fixture(scope="module")
 def default_corpus():
@@ -178,19 +171,18 @@ class TestPlantedGeometry:
 
     def test_anchor_top5_coverage(self, default_corpus):
         data = default_corpus
-        pools = batch_top_k(data.queries, data.passages, 5)
         hits = 0
-        for rec, pool in zip(data.records, pools):
+        for rec, q in zip(data.records, data.queries.data):
+            rows, _ = top_k(q, data.passages, 5)
             anchor_row = data.passages.row(rec.gold_passage_ids[0])
-            hits += int(anchor_row in pool.rows())
+            hits += int(anchor_row in rows)
         assert hits / len(data.records) >= 0.90
 
     def test_bridge_top5_headroom(self, default_corpus):
         data = default_corpus
-        pools = batch_top_k(data.queries, data.passages, 5)
         lucky = 0
-        for rec, pool in zip(data.records, pools):
-            rows = set(pool.rows().tolist())
+        for rec, q in zip(data.records, data.queries.data):
+            rows = set(top_k(q, data.passages, 5)[0].tolist())
             bridge_rows = {data.passages.row(g) for g in rec.gold_passage_ids[1:]}
             lucky += int(bool(rows & bridge_rows))
         assert lucky / len(data.records) <= 0.20

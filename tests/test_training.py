@@ -8,7 +8,7 @@ import pytest
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel
 from assocrank.pairs import AssocPairSet, extract_pairs
-from assocrank.synthetic import SyntheticSpec, generate
+from assocrank.synthetic import SyntheticSpec, generate_full
 from assocrank.training import (
     AdamW,
     TrainConfig,
@@ -264,8 +264,8 @@ def two_cluster_fixture(seed):
     spec = SyntheticSpec(
         n_passages=60, dim=16, n_questions=12, hops=2, n_clusters=2, seed=seed
     )
-    passages, _, records = generate(spec)
-    return passages, extract_pairs(records)
+    data = generate_full(spec)
+    return data.passages, extract_pairs(data.records)
 
 
 class TestTrain:
