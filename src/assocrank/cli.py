@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -73,21 +73,60 @@ def require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _typed(cfg: dict, key: str, convert, default):
-    """cfg[key] (or `default`) passed through `convert`; a value it rejects
-    is a config error that names the key."""
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _check(key: str, value, kind: str):
+    """`value` as the annotated type `kind` ("int", "float", "str", "int | None",
+    "list[float]", ...), or a config error naming `key`. An int is a JSON
+    integer only (not true, 60.9 or "60"); a float is any JSON number."""
+    if kind.startswith("list[") and isinstance(value, list):
+        return [_check(f"{key}[{i}]", item, kind[5:-1]) for i, item in enumerate(value)]
+    if value is None and kind.endswith(" | None"):
+        return None
+    base = kind.removesuffix(" | None")
+    if isinstance(value, _SCALAR_TYPES.get(base, ())) and not isinstance(value, bool):
+        return float(value) if base == "float" else value
+    raise CliError(f"{key}: expected {kind}, got {json.dumps(value)}")
+
+
+def _typed(cfg: dict, key: str, kind: str, default):
+    """cfg[key] checked as the type named `kind`, or `default` if it is unset."""
+    return _check(key, cfg[key], kind) if key in cfg else default
+
+
+def _section(cfg: dict, prefix: str, cls, skip=(), renamed=None):
+    """The dataclass `cls`, validated, from its defaults and the `<prefix>.*` keys.
+
+    Each value must match its field's (string) annotation. `renamed` maps a
+    field to the key that sets it; keys in `skip` belong to the command, and
+    any other key that names no field is an error.
+    """
+    renamed = renamed or {}
+    by_name = {renamed.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    values = {}
+    for key, value in cfg.items():
+        name = key.removeprefix(prefix + ".")
+        if name == key or name in skip:
+            continue
+        if name not in by_name:
+            raise CliError(f"unknown config key {key!r}")
+        values[by_name[name].name] = _check(key, value, by_name[name].type)
+    config = cls(**values)
     try:
-        return convert(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{key}: {exc}") from None
+        config.validate()
+    except ValueError as exc:
+        raise CliError(f"bad {prefix} config: {exc}") from None
+    return config
 
 
 def _atomic_via(path: str, writer) -> None:
-    """Run a file-path writer against a temp path, then rename into place."""
+    """Run a file-path writer against a temp path, then rename into place.
+    The temp file is made with mode 0o666, so the umask sets the output's."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         writer(tmp)
         os.replace(tmp, path)
@@ -126,45 +165,12 @@ def save_texts(texts: dict[str, str], path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    mapping = {}
-    for key, value in cfg.items():
-        if key.startswith("train."):
-            name = key[len("train."):]
-            if name in ("report",):
-                continue
-            mapping[name] = value
-    try:
-        return TrainConfig.from_mapping(mapping)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad train config: {exc}") from None
-
-
 def _rerank_config(cfg: dict) -> RerankConfig:
-    config = RerankConfig(
-        blend_lambda=_typed(cfg, "rerank.lambda", float, 0.50),
-        pool_depth=_typed(cfg, "rerank.pool_depth", int, 100),
-        cutoff=_typed(cfg, "rerank.cutoff", int, 5),
-        mode=str(cfg.get("rerank.mode", "mixed_bidi")),
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise CliError(f"bad rerank config: {exc}") from None
-    return config
+    return _section(cfg, "rerank", RerankConfig, skip=("out",), renamed={"blend_lambda": "lambda"})
 
 
 def cmd_synth(cfg: dict) -> int:
-    spec = SyntheticSpec(
-        n_passages=_typed(cfg, "synth.n_passages", int, 5000),
-        dim=_typed(cfg, "synth.dim", int, 64),
-        n_questions=_typed(cfg, "synth.n_questions", int, 500),
-        hops=_typed(cfg, "synth.hops", int, 2),
-        bridge_offset_rank=_typed(cfg, "synth.bridge_offset_rank", int, 10),
-        noise_scale=_typed(cfg, "synth.noise_scale", float, 0.1),
-        n_clusters=(_typed(cfg, "synth.n_clusters", int, None) if "synth.n_clusters" in cfg else None),
-        seed=_typed(cfg, "synth.seed", int, 42),
-    )
+    spec = _section(cfg, "synth", SyntheticSpec)
     try:
         data = generate_full(spec)
     except ValueError as exc:
@@ -190,17 +196,17 @@ def cmd_synth(cfg: dict) -> int:
 def cmd_pairs(cfg: dict) -> int:
     records = pairs_mod.load_records(require(cfg, "records"))
     pair_set = pairs_mod.extract_pairs(records)
-    mode = str(cfg.get("pairs.split_mode", "transductive"))
+    mode = _typed(cfg, "pairs.split_mode", "str", "transductive")
     try:
         pair_set = pairs_mod.split_policy(pair_set, mode)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    transform = str(cfg.get("pairs.transform", "none"))
+    transform = _typed(cfg, "pairs.transform", "str", "none")
     if transform == "shuffled":
-        pair_set = pairs_mod.shuffle_pairs(pair_set, _typed(cfg, "pairs.shuffle_seed", int, 0))
+        pair_set = pairs_mod.shuffle_pairs(pair_set, _typed(cfg, "pairs.shuffle_seed", "int", 0))
     elif transform == "similar_positives":
         passages = load_matrix(require(cfg, "passages"))
-        count = _typed(cfg, "pairs.similar_count", int, len(pair_set.pairs))
+        count = _typed(cfg, "pairs.similar_count", "int", len(pair_set.pairs))
         pair_set = pairs_mod.similar_positive_pairs(passages, count)
     elif transform != "none":
         raise CliError(f"unknown pairs.transform {transform!r}")
@@ -210,9 +216,9 @@ def cmd_pairs(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
+    config = _section(cfg, "train", TrainConfig, skip=("report",))
     embeddings = load_matrix(require(cfg, "passages"))
     pair_set = pairs_mod.load_pairs(require(cfg, "pairs"))
-    config = _train_config(cfg)
     model = AssocModel.initialize(embeddings.dim, seed=config.seed)
     try:
         model, report = train(model, pair_set, embeddings, config)
@@ -241,6 +247,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _load_pipeline(cfg: dict):
+    config = _rerank_config(cfg)
     passages = load_matrix(require(cfg, "passages"))
     queries = load_matrix(require(cfg, "queries"), expect_dim=passages.dim)
     model = load_model(require(cfg, "checkpoint"))
@@ -248,7 +255,6 @@ def _load_pipeline(cfg: dict):
         raise CliError(
             f"checkpoint dim {model.dim} does not match passage dim {passages.dim}"
         )
-    config = _rerank_config(cfg)
     if config.pool_depth > passages.rows:
         raise CliError(
             f"rerank.pool_depth {config.pool_depth} exceeds corpus size {passages.rows}"
@@ -288,7 +294,7 @@ def cmd_eval(cfg: dict) -> int:
     if missing:
         raise CliError(f"no record for query {missing[0]!r}")
     texts = load_texts(cfg["texts"]) if "texts" in cfg else None
-    ks = _typed(cfg, "eval.ks", lambda v: tuple(int(k) for k in v), [5, 10, 20])
+    ks = tuple(_typed(cfg, "eval.ks", "list[int]", evaluation.DEFAULT_KS))
     if max(ks) > config.pool_depth:
         raise CliError(f"eval.ks {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
     pools = _scored_pools(passages, queries, model, transformed, config)
@@ -307,8 +313,8 @@ def cmd_eval(cfg: dict) -> int:
         baseline,
         reranked,
         ks,
-        resamples=_typed(cfg, "eval.resamples", int, 10000),
-        seed=_typed(cfg, "eval.seed", int, 0),
+        resamples=_typed(cfg, "eval.resamples", "int", 10000),
+        seed=_typed(cfg, "eval.seed", "int", 0),
     )
     movement = evaluation.rank_movement_report(baseline, reranked, config.pool_depth)
     payload = report.to_json_dict()
@@ -346,7 +352,7 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
 def cmd_sweep(cfg: dict) -> int:
     passages, queries, model, transformed, config = _load_pipeline(cfg)
     records = pairs_mod.load_records(require(cfg, "records"))
-    ks = _typed(cfg, "sweep.ks", lambda v: tuple(int(k) for k in v), [5, 10, 20])
+    ks = tuple(_typed(cfg, "sweep.ks", "list[int]", evaluation.DEFAULT_KS))
     pools = _scored_pools(passages, queries, model, transformed, config)
     by_qid = {rec.question_id for rec in records}
     for pool in pools:
@@ -354,9 +360,7 @@ def cmd_sweep(cfg: dict) -> int:
             raise CliError(f"no record for query {pool.query_id!r}")
     eval_records = [rec for rec in records if rec.question_id in {p.query_id for p in pools}]
 
-    lambdas = _typed(
-        cfg, "sweep.lambdas", lambda v: [float(x) for x in v], [0.0, 0.25, 0.5, 0.75, 1.0]
-    )
+    lambdas = _typed(cfg, "sweep.lambdas", "list[float]", [0.0, 0.25, 0.5, 0.75, 1.0])
     lam_rows = evaluation.lambda_sweep(pools, passages.ids, eval_records, lambdas, ks)
     _write_csv(
         require(cfg, "sweep.lambda_out"),
@@ -364,7 +368,7 @@ def cmd_sweep(cfg: dict) -> int:
         ["lambda"] + [f"recall_at_{k}" for k in ks],
     )
 
-    depths = _typed(cfg, "sweep.depths", lambda v: [int(x) for x in v], [10, 20, 50, 100])
+    depths = _typed(cfg, "sweep.depths", "list[int]", [10, 20, 50, 100])
     depth_rows = evaluation.pool_depth_sweep(
         pools, passages.ids, eval_records, depths, config.blend_lambda, ks
     )
@@ -378,6 +382,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
+    base = _rerank_config(cfg)
     passages = load_matrix(require(cfg, "passages"))
     queries = load_matrix(require(cfg, "queries"), expect_dim=passages.dim)
     model = load_model(require(cfg, "checkpoint"))
@@ -385,25 +390,19 @@ def cmd_bench(cfg: dict) -> int:
         raise CliError(
             f"checkpoint dim {model.dim} does not match passage dim {passages.dim}"
         )
-    base = _rerank_config(cfg)
-    depths = _typed(cfg, "bench.pool_depths", lambda v: [int(x) for x in v], [100, 200])
-    n_queries = _typed(cfg, "bench.n_queries", int, min(32, queries.rows))
+    depths = _typed(cfg, "bench.pool_depths", "list[int]", [100, 200])
+    n_queries = _typed(cfg, "bench.n_queries", "int", min(32, queries.rows))
     if not 1 <= n_queries <= queries.rows:
         raise CliError(f"bench.n_queries {n_queries} out of range for {queries.rows} queries")
-    warmup = _typed(cfg, "bench.warmup", int, 2)
-    reps = _typed(cfg, "bench.reps", int, 3)
+    warmup = _typed(cfg, "bench.warmup", "int", 2)
+    reps = _typed(cfg, "bench.reps", "int", 3)
     transformed = transform_matrix(model, passages, source=require(cfg, "passages"))
     qs = queries.data[:n_queries]
     results = {}
     for depth in depths:
         if depth > passages.rows:
             raise CliError(f"bench depth {depth} exceeds corpus size {passages.rows}")
-        config = RerankConfig(
-            blend_lambda=base.blend_lambda,
-            pool_depth=depth,
-            cutoff=min(base.cutoff, depth),
-            mode=base.mode,
-        )
+        config = dataclasses.replace(base, pool_depth=depth, cutoff=min(base.cutoff, depth))
         stats = evaluation.latency_bench(
             model, passages, transformed, config, qs, warmup=warmup, reps=reps
         )

@@ -17,6 +17,7 @@ Float payloads round-trip bit-exactly; nothing is rescaled on disk.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -109,11 +110,25 @@ def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
         fh.write(buf.getvalue())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return raw
+def _exact_reader(fh):
+    """read(n, what) returning exactly the next n bytes of `fh`.
+
+    A read longer than what is left in the file (its size from fstat, less
+    what has been read) raises FormatError before anything is allocated, so
+    a corrupt length field cannot ask for more memory than the file holds.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def read(n: int, what: str, index: int | None = None) -> bytes:
+        nonlocal left
+        raw = fh.read(n) if n <= left else b""
+        if len(raw) != n:
+            where = what if index is None else f"{what} {index}"
+            raise FormatError(f"truncated file while reading {where}")
+        left -= n
+        return raw
+
+    return read
 
 
 def load_matrix(
@@ -127,22 +142,26 @@ def load_matrix(
     unit norms (tolerance 1e-4) for files that claim normalized rows.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        read = _exact_reader(fh)
+        magic = read(4, "magic")
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != VERSION:
             raise FormatError(f"unsupported version {version}, expected {VERSION}")
-        (n,) = struct.unpack("<Q", _read_exact(fh, 8, "row count"))
-        (dim,) = struct.unpack("<I", _read_exact(fh, 4, "dim"))
-        (norm_flag,) = struct.unpack("<B", _read_exact(fh, 1, "normalized flag"))
+        (n,) = struct.unpack("<Q", read(8, "row count"))
+        (dim,) = struct.unpack("<I", read(4, "dim"))
+        (norm_flag,) = struct.unpack("<B", read(1, "normalized flag"))
         if expect_dim is not None and dim != expect_dim:
             raise FormatError(f"dimension mismatch: file has d={dim}, expected d={expect_dim}")
         ids = []
         for i in range(n):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, f"id length {i}"))
-            ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
-        payload = _read_exact(fh, n * dim * 4, "float payload")
+            (length,) = struct.unpack("<I", read(4, "id length", i))
+            try:
+                ids.append(read(length, "id", i).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"id {i} is not UTF-8: {exc}") from None
+        payload = read(n * dim * 4, "float payload")
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after float payload")
@@ -150,7 +169,10 @@ def load_matrix(
     data = np.ascontiguousarray(data, dtype=np.float32)
     if not np.isfinite(data).all():
         raise FormatError("non-finite values in float payload")
-    matrix = EmbeddingMatrix(ids=ids, data=data, normalized=bool(norm_flag))
+    try:
+        matrix = EmbeddingMatrix(ids=ids, data=data, normalized=bool(norm_flag))
+    except ValueError as exc:  # duplicate ids
+        raise FormatError(str(exc)) from None
     if matrix.normalized and validate_norms and n > 0:
         norms = np.linalg.norm(data.astype(np.float64), axis=1)
         worst = int(np.argmax(np.abs(norms - 1.0)))

@@ -4,7 +4,7 @@ Every question whose gold set holds h >= 2 passages contributes all C(h, 2)
 unordered co-occurrence pairs. Pairs are stored in first-seen order; the
 dedup key is the lexicographically sorted id tuple, so (a, b) and (b, a)
 collapse. Ablation constructors (label shuffling, similarity-matched
-positives) live here too, alongside the split-leakage statistics.
+positives) live here too.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,74 +236,28 @@ def similar_positive_pairs(matrix: EmbeddingMatrix, count: int) -> AssocPairSet:
     )
 
 
-@dataclass
-class OverlapStats:
-    passage_id_overlap: float
-    gold_title_overlap: float
-    duplicate_pair_fraction: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passage_id_overlap": self.passage_id_overlap,
-            "gold_title_overlap": self.gold_title_overlap,
-            "duplicate_pair_fraction": self.duplicate_pair_fraction,
-        }
-
-
-_CHUNK_SUFFIX = re.compile(r"_\d+$")
-
-
-def _title_of(passage_id: str) -> str:
-    """Chunk ids conventionally end in _<n>; the stem identifies the source
-    document and stands in for its title."""
-    return _CHUNK_SUFFIX.sub("", passage_id)
-
-
-def overlap_stats(
-    train_records: list[QuestionRecord], val_records: list[QuestionRecord]
-) -> OverlapStats:
-    """Leakage statistics between two record sets.
-
-    Fractions are over the distinct validation-side items: gold passage ids,
-    their title stems, and canonical pairs that also occur on the train side.
-    """
-    train_ids = {pid for rec in train_records for pid in rec.gold_passage_ids}
-    val_ids = {pid for rec in val_records for pid in rec.gold_passage_ids}
-    if not val_ids:
-        raise ValueError("validation records contribute no gold passage ids")
-    id_overlap = len(val_ids & train_ids) / len(val_ids)
-
-    train_titles = {_title_of(pid) for pid in train_ids}
-    val_titles = {_title_of(pid) for pid in val_ids}
-    title_overlap = len(val_titles & train_titles) / len(val_titles)
-
-    def pair_keys(records: list[QuestionRecord]) -> set[tuple[str, str]]:
-        out = set()
-        for rec in records:
-            if len(rec.gold_passage_ids) >= 2:
-                out.update(itertools.combinations(sorted(rec.gold_passage_ids), 2))
-        return out
-
-    train_pairs = pair_keys(train_records)
-    val_pairs = pair_keys(val_records)
-    if not val_pairs:
-        raise ValueError("validation records contribute no pairs")
-    dup = len(val_pairs & train_pairs) / len(val_pairs)
-    return OverlapStats(id_overlap, title_overlap, dup)
+_PROVENANCE = "# provenance: "
 
 
 def save_pairs(pair_set: AssocPairSet, path: str) -> None:
-    """Two-column tab-separated text, one pair per line."""
+    """A `# provenance: <name>` line, then two tab-separated ids per line."""
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_PROVENANCE}{pair_set.provenance}\n")
         for a, b in pair_set.pairs:
             fh.write(f"{a}\t{b}\n")
 
 
-def load_pairs(path: str, provenance: str = "file") -> AssocPairSet:
+def load_pairs(path: str) -> AssocPairSet:
+    """Read a file written by save_pairs; one without the provenance line
+    loads with provenance "file"."""
     pairs = []
+    provenance = "file"
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
+            if lineno == 1 and line.startswith(_PROVENANCE):
+                provenance = line[len(_PROVENANCE):]
+                continue
             if not line:
                 continue
             parts = line.split("\t")

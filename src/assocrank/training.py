@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,16 +54,6 @@ class TrainConfig:
             raise ValueError(f"min_lr_fraction must be in [0, 1], got {self.min_lr_fraction}")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        cfg = cls(**mapping)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -283,6 +273,8 @@ def train(
     n = rows_a.size
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds pair count {n}")
+    if config.batch_size < 2:
+        raise ValueError("batch_size must be >= 2: a batch of one pair has no in-batch contrast")
     start = time.perf_counter()
     report = TrainReport()
     if config.epochs == 0:

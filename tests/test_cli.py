@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,15 +16,24 @@ import assocrank
 from assocrank.cli import (
     CliError,
     _atomic_via,
+    _check,
     apply_overrides,
     atomic_write_text,
     load_texts,
     main,
     parse_config_file,
+    write_json,
 )
 from assocrank.model import AssocModel, load_model, save_model
 
 ALL_COMMANDS = ["synth", "pairs", "train", "rerank", "eval", "sweep", "bench"]
+OUTPUTS = {
+    "synth": ["passages", "queries", "records", "texts"],
+    "train": ["checkpoint", "train.report"],
+    "rerank": ["rerank.out"],
+    "pairs": ["pairs"],
+    "eval": ["eval.out"],
+}
 
 
 def write_config(path, mapping):
@@ -93,6 +104,20 @@ class TestConfigParsing:
             "path": "out/results.json",
         }
 
+    def test_typed_values(self):
+        assert _check("k", 3, "int") == 3
+        for bad in (True, 60.9, "60", None, [1]):
+            with pytest.raises(CliError, match="^k: expected int, got "):
+                _check("k", bad, "int")
+        assert type(_check("k", 3, "float")) is float
+        assert _check("k", None, "int | None") is None
+        assert _check("k", 7, "int | None") == 7
+        assert _check("k", [0, 0.5], "list[float]") == [0.0, 0.5]
+        with pytest.raises(CliError, match="^k: expected list\\[int\\], got 5$"):
+            _check("k", 5, "list[int]")
+        with pytest.raises(CliError, match="^k: expected str, got false$"):
+            _check("k", False, "str")
+
     def test_bad_line_reports_lineno(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("good = 1\nnot a pair\n", encoding="utf-8")
@@ -123,6 +148,22 @@ class TestConfigParsing:
             _atomic_via(str(target), boom)
         assert target.read_text() == "original"
         assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        fresh, existing = tmp_path / "fresh.json", tmp_path / "existing.json"
+        existing.write_text("old")
+        existing.chmod(0o640)
+        old_umask = os.umask(umask)
+        try:
+            write_json(str(fresh), {"a": 1})
+            atomic_write_text(str(existing), "new")
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == mode
+        assert stat.S_IMODE(existing.stat().st_mode) == mode
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +339,25 @@ class TestDeterminism:
                     assert a == b, key
 
 
+BAD_CONFIG_VALUES = [
+    ("train", "train.epochs=3.5", "train.epochs: expected int, got 3.5"),
+    ("train", "train.seed=1.5", "train.seed: expected int, got 1.5"),
+    ("train", "train.batch_size=true", "train.batch_size: expected int, got true"),
+    ("train", "train.momentum=0.9", "unknown config key 'train.momentum'"),
+    (
+        "train",
+        "train.batch_size=1",
+        "batch_size must be >= 2: a batch of one pair has no in-batch contrast",
+    ),
+    ("rerank", "rerank.pool_depth=100.7", "rerank.pool_depth: expected int, got 100.7"),
+    ("rerank", "rerank.lamda=0.3", "unknown config key 'rerank.lamda'"),
+    ("synth", "synth.n_passages=60.9", "synth.n_passages: expected int, got 60.9"),
+    ("synth", "synth.n_pasages=10", "unknown config key 'synth.n_pasages'"),
+    ("pairs", "pairs.split_mode=1", "pairs.split_mode: expected str, got 1"),
+    ("eval", 'eval.ks=[5, "x"]', 'eval.ks[1]: expected int, got "x"'),
+]
+
+
 class TestErrors:
     def run_expecting_error(self, argv, capsys, fragment):
         rc = main(argv)
@@ -339,8 +399,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "key, message",
         [
-            ("synth.n_passages", "invalid literal for int() with base 10: 'oops'"),
-            ("synth.noise_scale", "could not convert string to float: 'oops'"),
+            ("synth.n_passages", 'expected int, got "oops"'),
+            ("synth.noise_scale", 'expected float, got "oops"'),
         ],
         ids=["int", "float"],
     )
@@ -349,6 +409,33 @@ class TestErrors:
         err = self.run_expecting_error(argv, capsys, message)
         assert err == f"error: config: {key}: {message}\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command, setting, message", BAD_CONFIG_VALUES, ids=[c[1] for c in BAD_CONFIG_VALUES]
+    )
+    def test_bad_config_value(self, pipeline, tmp_path, capsys, command, setting, message):
+        _, _, config_path = pipeline
+        argv = [command, "--config", str(config_path), "--set", setting]
+        for key in OUTPUTS[command]:
+            argv += ["--set", f"{key}={tmp_path / key}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, message)
+        assert err == f"error: config: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_corrupt_matrix_header(self, pipeline, tmp_path, capsys):
+        _, cfg, config_path = pipeline
+        raw = bytearray(Path(cfg["passages"]).read_bytes())
+        raw[16:20] = struct.pack("<I", 2**32 - 1)  # the dim field
+        corrupt = tmp_path / "passages.aare"
+        corrupt.write_bytes(bytes(raw))
+        out = tmp_path / "rerank.jsonl"
+        argv = ["rerank", "--config", str(config_path), "--set", f"passages={corrupt}"]
+        argv += ["--set", f"rerank.out={out}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, "truncated file while reading float payload")
+        assert err.startswith("error: FormatError: ")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_activation(self, tmp_path, capsys):

@@ -192,6 +192,14 @@ class TestLoadValidation:
         with pytest.raises(FormatError, match="truncated"):
             load_matrix(str(path))
 
+    def test_header_dim_beyond_file_size(self, tmp_path):
+        path, _ = self.write_valid(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated file while reading float payload"):
+            load_matrix(str(path))
+
     def test_trailing_bytes(self, tmp_path):
         path, _ = self.write_valid(tmp_path)
         path.write_bytes(path.read_bytes() + b"x")

@@ -1,4 +1,4 @@
-"""Pair extraction, split policies, ablation constructors, leakage stats."""
+"""Pair extraction, split policies, ablation constructors, record and pair files."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from assocrank.pairs import (
     extract_pairs,
     load_pairs,
     load_records,
-    overlap_stats,
     save_pairs,
     save_records,
     shuffle_pairs,
@@ -249,47 +248,6 @@ class TestSimilarPositives:
             similar_positive_pairs(m, 1)
 
 
-class TestOverlapStats:
-    def test_disjoint_corpora(self):
-        train = [record("q1", ["A_1", "A_2"], "train")]
-        val = [record("q2", ["B_1", "B_2"], "validation")]
-        stats = overlap_stats(train, val)
-        assert stats.passage_id_overlap == 0.0
-        assert stats.gold_title_overlap == 0.0
-        assert stats.duplicate_pair_fraction == 0.0
-
-    def test_identical_lists(self):
-        recs = [record("q1", ["A_1", "A_2"], "train"), record("q2", ["B_1", "C_9"], "train")]
-        stats = overlap_stats(recs, recs)
-        assert stats.passage_id_overlap == 1.0
-        assert stats.gold_title_overlap == 1.0
-        assert stats.duplicate_pair_fraction == 1.0
-
-    def test_four_question_fixture_quarter_duplicate(self):
-        train = [record("t1", ["A", "B"], "train")]
-        val = [
-            record("v1", ["A", "B"], "validation"),
-            record("v2", ["C", "D"], "validation"),
-            record("v3", ["E", "F"], "validation"),
-            record("v4", ["G", "H"], "validation"),
-        ]
-        stats = overlap_stats(train, val)
-        assert stats.duplicate_pair_fraction == 0.25
-
-    def test_title_stem_strips_chunk_suffix(self):
-        # doc_1 and doc_2 are chunks of the same document
-        train = [record("t1", ["doc_1", "other_7"], "train")]
-        val = [record("v1", ["doc_2", "elsewhere_3"], "validation")]
-        stats = overlap_stats(train, val)
-        assert stats.passage_id_overlap == 0.0
-        assert stats.gold_title_overlap == 0.5
-
-    def test_empty_validation_golds(self):
-        train = [record("t1", ["A", "B"], "train")]
-        with pytest.raises(ValueError, match="validation records"):
-            overlap_stats(train, [])
-
-
 class TestRecordIo:
     def test_roundtrip(self, tmp_path):
         recs = [
@@ -337,16 +295,35 @@ def save_and_read(recs, path):
     return path.read_text()
 
 
+def provenance_fixture(name):
+    recs = [record("q1", ["A", "B", "C"]), record("q2", ["D", "E", "F"])]
+    if name == "cooccurrence":
+        return extract_pairs(recs)
+    if name == "shuffled":
+        return shuffle_pairs(extract_pairs(recs), seed=0)
+    rng = np.random.default_rng(0)
+    m = EmbeddingMatrix(ids=list("ABCDEF"), data=rng.standard_normal((6, 4)))
+    return similar_positive_pairs(m, 2)
+
+
 class TestPairIo:
     def test_roundtrip(self, tmp_path):
-        ps = AssocPairSet(
-            pairs=[("A", "B"), ("C", "D")], pair_splits=[frozenset()] * 2
-        )
+        path = tmp_path / "pairs.tsv"
+        path.write_text("A\tB\nC\tD\n")
+        back = load_pairs(str(path))
+        assert back.pairs == [("A", "B"), ("C", "D")]
+        assert back.provenance == "file"
+
+    @pytest.mark.parametrize("name", ["cooccurrence", "shuffled", "similar_positives"])
+    def test_provenance_header_roundtrip(self, tmp_path, name):
+        ps = provenance_fixture(name)
+        assert ps.provenance == name
         path = tmp_path / "pairs.tsv"
         save_pairs(ps, str(path))
+        assert path.read_text().splitlines()[0] == f"# provenance: {name}"
         back = load_pairs(str(path))
         assert back.pairs == ps.pairs
-        assert back.provenance == "file"
+        assert back.provenance == name
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "pairs.tsv"

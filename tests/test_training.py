@@ -243,10 +243,6 @@ class TestTrainConfig:
     def test_production_scale_recipe_accepted(self):
         TrainConfig(batch_size=512, temperature=0.05, learning_rate=3e-4, epochs=100).validate()
 
-    def test_from_mapping_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown train config keys"):
-            TrainConfig.from_mapping({"batch_size": 4, "momentum": 0.9})
-
     def test_field_validation(self):
         for bad in (
             {"batch_size": 0},
@@ -257,7 +253,7 @@ class TestTrainConfig:
             {"negative_mode": "hard"},
         ):
             with pytest.raises(ValueError):
-                TrainConfig.from_mapping(bad)
+                TrainConfig(**bad).validate()
 
 
 def two_cluster_fixture(seed):
@@ -331,6 +327,13 @@ class TestTrain:
         model = AssocModel.initialize(16, seed=6)
         with pytest.raises(ValueError, match="'ghost-a'"):
             train(model, bad, passages, TrainConfig(batch_size=1, epochs=1))
+
+    def test_batch_size_one_rejected(self):
+        passages, pair_set = two_cluster_fixture(seed=6)
+        model = AssocModel.initialize(16, seed=6)
+        for epochs in (0, 1):
+            with pytest.raises(ValueError, match="batch_size must be >= 2"):
+                train(model, pair_set, passages, TrainConfig(batch_size=1, epochs=epochs))
 
     def test_empty_pair_set(self):
         passages, _ = two_cluster_fixture(seed=7)
