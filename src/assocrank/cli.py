@@ -2,9 +2,9 @@
 
 One declarative config file drives every subcommand; individual keys can be
 overridden on the command line with repeated --set key=value flags. Outputs
-are written atomically (temp file in the target directory, then rename) and
-reports are deterministic for a fixed config and seed, with wall-clock
-numbers confined to "timing" fields.
+are written atomically by the library's savers and `write_atomic` (temp file
+in the target directory, then rename) and reports are deterministic for a
+fixed config and seed, with wall-clock numbers confined to "timing" fields.
 
 Config files are plain text: one `key = value` per line, # comments, values
 parsed as JSON where possible (so lists and booleans work) and kept as
@@ -18,15 +18,11 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 import time
-from pathlib import Path
-
-import numpy as np
 
 from assocrank import evaluation, pairs as pairs_mod, rerank as rerank_mod
-from assocrank.embeddings import load_matrix, save_matrix
+from assocrank.embeddings import load_matrix, save_matrix, write_atomic
 from assocrank.model import AssocModel, load_model, save_model, transform_matrix
 from assocrank.rerank import RerankConfig
 from assocrank.synthetic import SyntheticSpec, generate_full
@@ -67,10 +63,11 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
     return cfg
 
 
-def require(cfg: dict, key: str):
+def require(cfg: dict, key: str) -> str:
+    """The path set by `key`; a missing or non-string value is a config error."""
     if key not in cfg:
         raise CliError(f"missing required config key {key!r}")
-    return cfg[key]
+    return _check(key, cfg[key], "str")
 
 
 _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -120,49 +117,9 @@ def _section(cfg: dict, prefix: str, cls, skip=(), renamed=None):
     return config
 
 
-def _atomic_via(path: str, writer) -> None:
-    """Run a file-path writer against a temp path, then rename into place.
-    The temp file is made with mode 0o666, so the umask sets the output's."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    _atomic_via(path, lambda tmp: Path(tmp).write_bytes(text.encode("utf-8")))
-
-
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def load_texts(path: str) -> dict[str, str]:
-    texts: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            if "passage_id" not in raw or "text" not in raw:
-                raise CliError(f"{path}:{lineno}: texts need passage_id and text fields")
-            texts[raw["passage_id"]] = raw["text"]
-    return texts
-
-
-def save_texts(texts: dict[str, str], path: str) -> None:
-    buf = io.StringIO()
-    for pid in sorted(texts):
-        buf.write(json.dumps({"passage_id": pid, "text": texts[pid]}, sort_keys=True) + "\n")
-    atomic_write_text(path, buf.getvalue())
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _rerank_config(cfg: dict) -> RerankConfig:
@@ -171,15 +128,16 @@ def _rerank_config(cfg: dict) -> RerankConfig:
 
 def cmd_synth(cfg: dict) -> int:
     spec = _section(cfg, "synth", SyntheticSpec)
+    texts_path = _typed(cfg, "texts", "str", None)
     try:
         data = generate_full(spec)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    _atomic_via(require(cfg, "passages"), lambda p: save_matrix(data.passages, p))
-    _atomic_via(require(cfg, "queries"), lambda p: save_matrix(data.queries, p))
-    _atomic_via(require(cfg, "records"), lambda p: pairs_mod.save_records(data.records, p))
-    if "texts" in cfg:
-        save_texts(data.texts, cfg["texts"])
+    save_matrix(data.passages, require(cfg, "passages"))
+    save_matrix(data.queries, require(cfg, "queries"))
+    pairs_mod.save_records(data.records, require(cfg, "records"))
+    if texts_path is not None:
+        pairs_mod.save_texts(data.texts, texts_path)
     print(
         json.dumps(
             {
@@ -210,13 +168,14 @@ def cmd_pairs(cfg: dict) -> int:
         pair_set = pairs_mod.similar_positive_pairs(passages, count)
     elif transform != "none":
         raise CliError(f"unknown pairs.transform {transform!r}")
-    _atomic_via(require(cfg, "pairs"), lambda p: pairs_mod.save_pairs(pair_set, p))
+    pairs_mod.save_pairs(pair_set, require(cfg, "pairs"))
     print(json.dumps({"pairs": len(pair_set.pairs), "mode": mode, "transform": transform}, sort_keys=True))
     return 0
 
 
 def cmd_train(cfg: dict) -> int:
     config = _section(cfg, "train", TrainConfig, skip=("report",))
+    report_path = _typed(cfg, "train.report", "str", None)
     embeddings = load_matrix(require(cfg, "passages"))
     pair_set = pairs_mod.load_pairs(require(cfg, "pairs"))
     model = AssocModel.initialize(embeddings.dim, seed=config.seed)
@@ -224,7 +183,7 @@ def cmd_train(cfg: dict) -> int:
         model, report = train(model, pair_set, embeddings, config)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    _atomic_via(require(cfg, "checkpoint"), lambda p: save_model(model, p))
+    save_model(model, require(cfg, "checkpoint"))
     payload = report.to_json_dict()
     payload = {
         "epoch_losses": payload["epoch_losses"],
@@ -232,8 +191,8 @@ def cmd_train(cfg: dict) -> int:
         "final_train_accuracy": payload["final_train_accuracy"],
         "timing": {"wall_time": payload["wall_time"]},
     }
-    if "train.report" in cfg:
-        write_json(cfg["train.report"], payload)
+    if report_path is not None:
+        write_json(report_path, payload)
     print(
         json.dumps(
             {
@@ -246,8 +205,9 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_pipeline(cfg: dict):
-    config = _rerank_config(cfg)
+def _load_inputs(cfg: dict):
+    """(passages, queries, model), with the queries' and the checkpoint's
+    dim checked against the passages'."""
     passages = load_matrix(require(cfg, "passages"))
     queries = load_matrix(require(cfg, "queries"), expect_dim=passages.dim)
     model = load_model(require(cfg, "checkpoint"))
@@ -255,6 +215,12 @@ def _load_pipeline(cfg: dict):
         raise CliError(
             f"checkpoint dim {model.dim} does not match passage dim {passages.dim}"
         )
+    return passages, queries, model
+
+
+def _load_pipeline(cfg: dict):
+    config = _rerank_config(cfg)
+    passages, queries, model = _load_inputs(cfg)
     if config.pool_depth > passages.rows:
         raise CliError(
             f"rerank.pool_depth {config.pool_depth} exceeds corpus size {passages.rows}"
@@ -271,7 +237,7 @@ def cmd_rerank(cfg: dict) -> int:
             qid, queries.data[i], passages, transformed, model, config
         )
         buf.write(json.dumps(result.to_json_dict(passages.ids), sort_keys=True) + "\n")
-    atomic_write_text(require(cfg, "rerank.out"), buf.getvalue())
+    write_atomic(require(cfg, "rerank.out"), buf.getvalue().encode("utf-8"))
     print(json.dumps({"queries": queries.rows, "cutoff": config.cutoff}, sort_keys=True))
     return 0
 
@@ -293,7 +259,8 @@ def cmd_eval(cfg: dict) -> int:
     missing = [qid for qid in queries.ids if qid not in known]
     if missing:
         raise CliError(f"no record for query {missing[0]!r}")
-    texts = load_texts(cfg["texts"]) if "texts" in cfg else None
+    texts_path = _typed(cfg, "texts", "str", None)
+    texts = pairs_mod.load_texts(texts_path) if texts_path is not None else None
     ks = tuple(_typed(cfg, "eval.ks", "list[int]", evaluation.DEFAULT_KS))
     if max(ks) > config.pool_depth:
         raise CliError(f"eval.ks {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
@@ -346,7 +313,7 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -383,13 +350,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_bench(cfg: dict) -> int:
     base = _rerank_config(cfg)
-    passages = load_matrix(require(cfg, "passages"))
-    queries = load_matrix(require(cfg, "queries"), expect_dim=passages.dim)
-    model = load_model(require(cfg, "checkpoint"))
-    if model.dim != passages.dim:
-        raise CliError(
-            f"checkpoint dim {model.dim} does not match passage dim {passages.dim}"
-        )
+    passages, queries, model = _load_inputs(cfg)
     depths = _typed(cfg, "bench.pool_depths", "list[int]", [100, 200])
     n_queries = _typed(cfg, "bench.n_queries", "int", min(32, queries.rows))
     if not 1 <= n_queries <= queries.rows:

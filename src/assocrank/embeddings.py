@@ -12,6 +12,9 @@ throughout:
     data        N*d float32, row-major
 
 Float payloads round-trip bit-exactly; nothing is rescaled on disk.
+
+`write_atomic` is the one writer for every file the package produces: the
+target holds either its old bytes or the whole new file, never a part.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class EmbeddingMatrix:
     def __contains__(self, pid: str) -> bool:
         return pid in self._row_of
 
-    def vector(self, pid: str) -> np.ndarray:
-        return self.data[self.row(pid)]
-
 
 def l2_normalize_rows(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """Return a copy with every row scaled to unit L2 norm.
@@ -102,12 +102,29 @@ def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
         raw = pid.encode("utf-8")
         buf.write(struct.pack("<I", len(raw)))
         buf.write(raw)
-    data = matrix.data
-    if data.dtype.byteorder == ">":  # big-endian host arrays
-        data = data.astype("<f4")
-    buf.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    buf.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
+    write_atomic(path, buf.getvalue())
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write `data` to `path` through a temp file in the same directory and a
+    rename, so `path` holds either its old bytes or all of `data`.
+
+    The temp file is made with mode 0o666, so the umask sets the output's
+    mode. On any failure the temp file is removed and the error re-raised.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _exact_reader(fh):

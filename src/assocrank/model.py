@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from assocrank.embeddings import EmbeddingMatrix
+from assocrank.embeddings import EmbeddingMatrix, write_atomic
 
 MODEL_MAGIC = b"AARM"
 MODEL_VERSION = 1
@@ -104,9 +104,6 @@ class AssocModel:
             ln_shifts=[s.astype(dtype) for s in self.ln_shifts],
             alpha_raw=self.alpha_raw.astype(dtype),
         )
-
-    def copy(self) -> "AssocModel":
-        return self.astype(self.dtype)
 
 
 def param_count(model: AssocModel) -> int:
@@ -269,8 +266,7 @@ def save_model(model: AssocModel, path: str) -> None:
     buf.write(struct.pack("<I", model.dim))
     for _, arr in model.param_items():
         buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def load_model(path: str) -> AssocModel:
@@ -292,27 +288,12 @@ def load_model(path: str) -> AssocModel:
         raise CheckpointError(
             f"payload holds {len(payload) // 4} floats, expected {expected} for d={dim}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    flat = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(flat).all():
+        raise CheckpointError("non-finite parameter values")
+    model = AssocModel.initialize(dim, seed=0)
     pos = 0
-
-    def take(shape) -> np.ndarray:
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = flat[pos : pos + size].reshape(shape).copy()
-        pos += size
-        return out
-
-    weights, biases = [], []
-    for _ in range(4):
-        weights.append(take((dim, dim)))
-        biases.append(take((dim,)))
-    ln_scales, ln_shifts = [], []
-    for _ in range(3):
-        ln_scales.append(take((dim,)))
-        ln_shifts.append(take((dim,)))
-    alpha_raw = take((1,))
-    if not all(np.isfinite(arr).all() for arr in weights + biases + ln_scales + ln_shifts):
-        raise CheckpointError("non-finite parameter values")
-    if not np.isfinite(alpha_raw).all():
-        raise CheckpointError("non-finite parameter values")
-    return AssocModel(weights, biases, ln_scales, ln_shifts, alpha_raw)
+    for _, arr in model.param_items():
+        arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
+        pos += arr.size
+    return model

@@ -4,7 +4,8 @@ Every question whose gold set holds h >= 2 passages contributes all C(h, 2)
 unordered co-occurrence pairs. Pairs are stored in first-seen order; the
 dedup key is the lexicographically sorted id tuple, so (a, b) and (b, a)
 collapse. Ablation constructors (label shuffling, similarity-matched
-positives) live here too.
+positives) live here too, as do the readers and writers of pairs files and
+of the JSON-lines question records and passage texts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from assocrank.embeddings import EmbeddingMatrix
+from assocrank.embeddings import EmbeddingMatrix, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +49,10 @@ class QuestionRecord:
         }
 
 
-def load_records(path: str) -> list[QuestionRecord]:
-    records = []
+def _json_objects(path: str):
+    """(lineno, object) for each non-blank line of a JSON-lines file. A line
+    that is not valid JSON or not a JSON object raises ValueError naming
+    path:lineno."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -59,25 +62,50 @@ def load_records(path: str) -> list[QuestionRecord]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            try:
-                rec = QuestionRecord(
-                    question_id=raw["question_id"],
-                    question_text=raw["question_text"],
-                    gold_passage_ids=list(raw["gold_passage_ids"]),
-                    gold_answer=raw["gold_answer"],
-                    split=raw["split"],
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-            rec.validate()
-            records.append(rec)
+            if not isinstance(raw, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            yield lineno, raw
+
+
+def _save_json_objects(objects, path: str) -> None:
+    text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
+    write_atomic(path, text.encode("utf-8"))
+
+
+def load_records(path: str) -> list[QuestionRecord]:
+    records = []
+    for lineno, raw in _json_objects(path):
+        try:
+            rec = QuestionRecord(
+                question_id=raw["question_id"],
+                question_text=raw["question_text"],
+                gold_passage_ids=list(raw["gold_passage_ids"]),
+                gold_answer=raw["gold_answer"],
+                split=raw["split"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+        rec.validate()
+        records.append(rec)
     return records
 
 
 def save_records(records: list[QuestionRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+    _save_json_objects((rec.to_json_dict() for rec in records), path)
+
+
+def load_texts(path: str) -> dict[str, str]:
+    """Passage id -> text from a JSON-lines file written by save_texts."""
+    texts: dict[str, str] = {}
+    for lineno, raw in _json_objects(path):
+        if "passage_id" not in raw or "text" not in raw:
+            raise ValueError(f"{path}:{lineno}: texts need passage_id and text fields")
+        texts[raw["passage_id"]] = raw["text"]
+    return texts
+
+
+def save_texts(texts: dict[str, str], path: str) -> None:
+    _save_json_objects(({"passage_id": pid, "text": texts[pid]} for pid in sorted(texts)), path)
 
 
 def canonical(a: str, b: str) -> tuple[str, str]:
@@ -106,17 +134,6 @@ class AssocPairSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        key = canonical(*pair)
-        return any(canonical(a, b) == key for a, b in self.pairs)
-
-    @property
-    def source_splits(self) -> set[str]:
-        out: set[str] = set()
-        for splits in self.pair_splits:
-            out |= splits
-        return out
 
 
 def extract_pairs(records: list[QuestionRecord]) -> AssocPairSet:
@@ -241,10 +258,9 @@ _PROVENANCE = "# provenance: "
 
 def save_pairs(pair_set: AssocPairSet, path: str) -> None:
     """A `# provenance: <name>` line, then two tab-separated ids per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_PROVENANCE}{pair_set.provenance}\n")
-        for a, b in pair_set.pairs:
-            fh.write(f"{a}\t{b}\n")
+    lines = [f"{_PROVENANCE}{pair_set.provenance}\n"]
+    lines += [f"{a}\t{b}\n" for a, b in pair_set.pairs]
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def load_pairs(path: str) -> AssocPairSet:

@@ -72,17 +72,6 @@ class TrainReport:
         }
 
 
-def similarity_logits(
-    model: AssocModel, batch_a: np.ndarray, batch_b: np.ndarray, temperature: float
-) -> np.ndarray:
-    """(i, j) entry is f(a_i) . f(b_j) / temperature."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    fa, _ = forward_batch(model, batch_a)
-    fb, _ = forward_batch(model, batch_b)
-    return (fa @ fb.T) / temperature
-
-
 def _log_softmax_rows(s: np.ndarray) -> np.ndarray:
     shifted = s - s.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -13,18 +13,18 @@ import numpy as np
 import pytest
 
 import assocrank
+from assocrank import cli
 from assocrank.cli import (
     CliError,
-    _atomic_via,
     _check,
     apply_overrides,
-    atomic_write_text,
-    load_texts,
     main,
     parse_config_file,
     write_json,
 )
+from assocrank.embeddings import write_atomic
 from assocrank.model import AssocModel, load_model, save_model
+from assocrank.pairs import load_texts
 
 ALL_COMMANDS = ["synth", "pairs", "train", "rerank", "eval", "sweep", "bench"]
 OUTPUTS = {
@@ -134,18 +134,14 @@ class TestConfigParsing:
     def test_load_texts_validation(self, tmp_path):
         path = tmp_path / "texts.jsonl"
         path.write_text('{"passage_id": "p1", "text": "hi"}\n{"text": "no id"}\n')
-        with pytest.raises(CliError, match=":2: texts need passage_id and text"):
+        with pytest.raises(ValueError, match=":2: texts need passage_id and text"):
             load_texts(str(path))
 
     def test_atomic_write_failure_leaves_no_debris(self, tmp_path):
         target = tmp_path / "out.json"
-        atomic_write_text(str(target), "original")
-
-        def boom(_path):
-            raise RuntimeError("writer failed")
-
-        with pytest.raises(RuntimeError):
-            _atomic_via(str(target), boom)
+        write_atomic(str(target), b"original")
+        with pytest.raises(TypeError):
+            write_atomic(str(target), "text, not bytes: the write fails")
         assert target.read_text() == "original"
         assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
 
@@ -159,7 +155,7 @@ class TestConfigParsing:
         old_umask = os.umask(umask)
         try:
             write_json(str(fresh), {"a": 1})
-            atomic_write_text(str(existing), "new")
+            write_atomic(str(existing), b"new")
         finally:
             os.umask(old_umask)
         assert stat.S_IMODE(fresh.stat().st_mode) == mode
@@ -418,6 +414,34 @@ class TestErrors:
         argv = [command, "--config", str(config_path), "--set", setting]
         for key in OUTPUTS[command]:
             argv += ["--set", f"{key}={tmp_path / key}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, message)
+        assert err == f"error: config: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("synth", "passages=5"),
+            ("synth", "texts=5"),
+            ("train", "passages=0"),
+            ("train", "train.report=5"),
+        ],
+    )
+    def test_path_must_be_a_string(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, setting
+    ):
+        def no_read(path, *args, **kwargs):
+            pytest.fail(f"read input {path!r}")
+
+        monkeypatch.setattr(cli, "load_matrix", no_read)
+        _, _, config_path = pipeline
+        argv = [command, "--config", str(config_path)]
+        for key in OUTPUTS[command]:
+            argv += ["--set", f"{key}={tmp_path / key}"]
+        argv += ["--set", setting]  # last, so it overrides the output paths
+        key, _, value = setting.partition("=")
+        message = f"{key}: expected str, got {value}"
         capsys.readouterr()
         err = self.run_expecting_error(argv, capsys, message)
         assert err == f"error: config: {message}\n"

@@ -50,7 +50,6 @@ class TestMatrixBasics:
         m = random_matrix(np.random.default_rng(0), 7, 3)
         for i, pid in enumerate(m.ids):
             assert m.row(pid) == i
-            assert np.array_equal(m.vector(pid), m.data[i])
 
     def test_duplicate_ids_rejected(self):
         data = np.zeros((2, 4), dtype=np.float32)

@@ -171,14 +171,6 @@ class TestForward:
 
 
 class TestCopyAstype:
-    def test_copy_is_deep(self):
-        model = AssocModel.initialize(5, seed=7)
-        dup = model.copy()
-        dup.weights[0][0, 0] += 1.0
-        dup.alpha_raw[0] = 3.0
-        assert model.weights[0][0, 0] != dup.weights[0][0, 0]
-        assert model.alpha_raw[0] == 0.0
-
     def test_astype_dtype(self):
         model = AssocModel.initialize(5, seed=7)
         wide = model.astype(np.float64)

@@ -50,19 +50,6 @@ class TestPairSetValidation:
         with pytest.raises(ValueError, match="align"):
             AssocPairSet(pairs=[("a", "b")], pair_splits=[])
 
-    def test_contains_ignores_order(self):
-        ps = AssocPairSet(pairs=[("a", "b")], pair_splits=[frozenset({"train"})])
-        assert ("a", "b") in ps
-        assert ("b", "a") in ps
-        assert ("a", "c") not in ps
-
-    def test_source_splits_unions(self):
-        ps = AssocPairSet(
-            pairs=[("a", "b"), ("c", "d")],
-            pair_splits=[frozenset({"train"}), frozenset({"validation"})],
-        )
-        assert ps.source_splits == {"train", "validation"}
-
 
 class TestExtractPairs:
     def test_single_pair(self):

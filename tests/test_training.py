@@ -15,7 +15,6 @@ from assocrank.training import (
     backward,
     cosine_lr,
     gradient_check,
-    similarity_logits,
     symmetric_ce_loss,
     train,
     training_accuracy,
@@ -79,15 +78,6 @@ class TestLossOracle:
 
 
 class TestLogits:
-    def test_doubling_temperature_halves_logits_exactly(self):
-        rng = np.random.default_rng(3)
-        model = AssocModel.initialize(8, seed=1)
-        xa = unit_rows(rng, 3, 8)
-        xb = unit_rows(rng, 3, 8)
-        s1 = similarity_logits(model, xa, xb, 0.2)
-        s2 = similarity_logits(model, xa, xb, 0.4)
-        assert np.array_equal(s2, s1 * 0.5)
-
     def test_identical_uniform_batch_keeps_alpha_grad_finite(self):
         rng = np.random.default_rng(4)
         row = unit_rows(rng, 1, 6)
@@ -96,11 +86,6 @@ class TestLogits:
         grads, loss = backward(model, x, x, TrainConfig(temperature=0.5))
         assert abs(loss - math.log(2)) < 1e-6
         assert np.isfinite(grads["alpha_raw"]).all()
-
-    def test_temperature_validation(self):
-        model = AssocModel.initialize(4, seed=0)
-        with pytest.raises(ValueError, match="temperature"):
-            similarity_logits(model, np.ones((1, 4)), np.ones((1, 4)), 0.0)
 
 
 class TestGradientCheck:
