@@ -67,6 +67,21 @@ def _json_objects(path: str):
             yield lineno, raw
 
 
+def _str_field(raw: dict, name: str, where: str, as_list: bool = False):
+    """raw[name], which must be a string, or with `as_list` a list of strings.
+    A wrong type raises ValueError naming `where` and the field; a missing
+    field raises KeyError."""
+    value = raw[name]
+    if as_list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        expected = "a list of strings" if as_list else "a string"
+        raise ValueError(f"{where}: {name}: expected {expected}, got {json.dumps(value)[:60]}")
+    return value
+
+
 def _save_json_objects(objects, path: str) -> None:
     text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
     write_atomic(path, text.encode("utf-8"))
@@ -75,16 +90,17 @@ def _save_json_objects(objects, path: str) -> None:
 def load_records(path: str) -> list[QuestionRecord]:
     records = []
     for lineno, raw in _json_objects(path):
+        where = f"{path}:{lineno}"
         try:
             rec = QuestionRecord(
-                question_id=raw["question_id"],
-                question_text=raw["question_text"],
-                gold_passage_ids=list(raw["gold_passage_ids"]),
-                gold_answer=raw["gold_answer"],
-                split=raw["split"],
+                question_id=_str_field(raw, "question_id", where),
+                question_text=_str_field(raw, "question_text", where),
+                gold_passage_ids=_str_field(raw, "gold_passage_ids", where, as_list=True),
+                gold_answer=_str_field(raw, "gold_answer", where),
+                split=_str_field(raw, "split", where),
             )
         except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+            raise ValueError(f"{where}: missing field {exc}") from None
         rec.validate()
         records.append(rec)
     return records
@@ -100,7 +116,8 @@ def load_texts(path: str) -> dict[str, str]:
     for lineno, raw in _json_objects(path):
         if "passage_id" not in raw or "text" not in raw:
             raise ValueError(f"{path}:{lineno}: texts need passage_id and text fields")
-        texts[raw["passage_id"]] = raw["text"]
+        where = f"{path}:{lineno}"
+        texts[_str_field(raw, "passage_id", where)] = _str_field(raw, "text", where)
     return texts
 
 

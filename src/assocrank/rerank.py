@@ -100,17 +100,17 @@ def _association_readout(
     transformed: TransformedMatrix,
     mode: str,
 ) -> np.ndarray:
-    """Association scores of the pool `rows` under a scoring mode, given f(q)."""
-    pool_vecs = passages.data[rows]
-    pool_transformed = transformed.data[rows]
+    """Association scores of the pool `rows` under a scoring mode, given f(q).
+
+    Gathers only the pool rows of the matrices the mode reads."""
     if mode == "forward_only":
-        assoc = pool_vecs @ fq
+        assoc = passages.data[rows] @ fq
     elif mode == "reverse_only":
-        assoc = pool_transformed @ query
+        assoc = transformed.data[rows] @ query
     elif mode == "both_transformed":
-        assoc = pool_transformed @ fq
+        assoc = transformed.data[rows] @ fq
     elif mode == "mixed_bidi":
-        assoc = 0.5 * (pool_vecs @ fq + pool_transformed @ query)
+        assoc = 0.5 * (passages.data[rows] @ fq + transformed.data[rows] @ query)
     else:
         raise ValueError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
     return np.asarray(assoc, dtype=np.float32)

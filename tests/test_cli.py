@@ -447,6 +447,35 @@ class TestErrors:
         assert err == f"error: config: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "command, key, field, value, message",
+        [
+            ("pairs", "records", "gold_passage_ids", 5, "expected a list of strings, got 5"),
+            ("eval", "records", "split", ["train"], 'expected a string, got ["train"]'),
+            ("eval", "texts", "passage_id", ["p"], 'expected a string, got ["p"]'),
+        ],
+        ids=["pairs-records", "eval-records", "eval-texts"],
+    )
+    def test_wrongly_typed_input_field(
+        self, pipeline, tmp_path, capsys, command, key, field, value, message
+    ):
+        _, cfg, config_path = pipeline
+        lines = Path(cfg[key]).read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first[field] = value
+        bad = tmp_path / f"{key}.jsonl"
+        bad.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", str(config_path), "--set", f"{key}={bad}"]
+        for out_key in OUTPUTS[command]:
+            argv += ["--set", f"{out_key}={out / out_key}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, f"{bad}:1: {field}: {message}")
+        assert err == f"error: ValueError: {bad}:1: {field}: {message}\n"
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
+
     def test_corrupt_matrix_header(self, pipeline, tmp_path, capsys):
         _, cfg, config_path = pipeline
         raw = bytearray(Path(cfg["passages"]).read_bytes())

@@ -1,5 +1,7 @@
 """Pair extraction, split policies, ablation constructors, record and pair files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from assocrank.pairs import (
     extract_pairs,
     load_pairs,
     load_records,
+    load_texts,
     save_pairs,
     save_records,
     shuffle_pairs,
@@ -265,6 +268,27 @@ class TestRecordIo:
         with pytest.raises(ValueError, match=":2:.*missing field"):
             load_records(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("question_id", 7, "a string, got 7"),
+            ("question_text", None, "a string, got null"),
+            ("gold_passage_ids", 5, "a list of strings, got 5"),
+            ("gold_passage_ids", "AB", 'a list of strings, got "AB"'),
+            ("gold_passage_ids", ["A", 2], 'a list of strings, got ["A", 2]'),
+            ("gold_answer", ["x"], 'a string, got ["x"]'),
+            ("split", {"s": "train"}, 'a string, got {"s": "train"}'),
+        ],
+    )
+    def test_wrongly_typed_field_reports_line(self, tmp_path, field, value, expected):
+        path = tmp_path / "records.jsonl"
+        bad = record("q2", ["C", "D"]).to_json_dict()
+        bad[field] = value
+        path.write_text(save_and_read([record("q1", ["A", "B"])], path) + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_records(str(path))
+        assert str(info.value) == f"{path}:2: {field}: expected {expected}"
+
     def test_bad_split_rejected(self):
         rec = record("q1", ["A", "B"])
         rec.split = "test"
@@ -275,6 +299,28 @@ class TestRecordIo:
         rec = record("q1", ["A", "A"])
         with pytest.raises(ValueError, match="duplicate gold"):
             rec.validate()
+
+
+class TestTextsIo:
+    def test_reads_ids_and_texts(self, tmp_path):
+        path = tmp_path / "texts.jsonl"
+        path.write_text('{"passage_id": "p1", "text": "one"}\n\n{"passage_id": "p2", "text": ""}\n')
+        assert load_texts(str(path)) == {"p1": "one", "p2": ""}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"passage_id": ["p"], "text": "t"}', 'passage_id: expected a string, got ["p"]'),
+            ('{"passage_id": 3, "text": "t"}', "passage_id: expected a string, got 3"),
+            ('{"passage_id": "p", "text": {"t": 1}}', 'text: expected a string, got {"t": 1}'),
+        ],
+    )
+    def test_wrongly_typed_field_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "texts.jsonl"
+        path.write_text('{"passage_id": "p0", "text": "ok"}\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_texts(str(path))
+        assert str(info.value) == f"{path}:2: {message}"
 
 
 def save_and_read(recs, path):

@@ -184,6 +184,30 @@ class TestScorePool:
                 )
                 assert abs(single - float(scored.assocs[slot])) < 1e-6, mode
 
+    def test_assocs_are_the_pool_readout_bit_for_bit(self):
+        # float32 readout over the gathered pool rows, as each mode defines
+        # it, then the float64 oracle on every slot
+        rng = np.random.default_rng(9)
+        passages, model, transformed = pipeline_parts(rng)
+        q = rng.normal(size=24).astype(np.float32)
+        fq = forward(model, q, degenerate="zero")
+        for mode in SCORING_MODES:
+            cfg = RerankConfig(pool_depth=40, cutoff=5, mode=mode)
+            scored = score_pool("q0", q, passages, transformed, model, cfg)
+            vecs, tvecs = passages.data[scored.rows], transformed.data[scored.rows]
+            expected = {
+                "forward_only": vecs @ fq,
+                "reverse_only": tvecs @ q,
+                "both_transformed": tvecs @ fq,
+                "mixed_bidi": 0.5 * (vecs @ fq + tvecs @ q),
+            }[mode].astype(np.float32)
+            assert scored.assocs.tobytes() == expected.tobytes(), mode
+            for slot, row in enumerate(scored.rows):
+                single = reference_assoc(
+                    model, q, passages.data[row], transformed.data[row], mode
+                )
+                assert abs(single - float(scored.assocs[slot])) < 1e-6, mode
+
     def test_sims_match_dense_pool(self):
         rng = np.random.default_rng(6)
         passages, model, transformed = pipeline_parts(rng)
