@@ -79,13 +79,15 @@ class TestMatchesStableSort:
             # an infinite entry times a non-zero query entry gives a +-inf score
             inf_rows = rng.integers(0, n, size=int(rng.integers(0, 4)))
             data[inf_rows] = 0.0
-            data[inf_rows, 0] = rng.choice(np.array([np.inf, -np.inf], dtype=np.float32), size=inf_rows.size)
+            infs = np.array([np.inf, -np.inf], dtype=np.float32)
+            data[inf_rows, 0] = rng.choice(infs, size=inf_rows.size)
             q = rng.choice(np.array([1.0, -1.0, 2.0], dtype=np.float32), size=d)
             assert_matches_stable_sort(q, data, int(rng.integers(1, n + 1)))
 
 
 class TestSelectionOnScores:
-    """Score arrays no float32 matrix product yields here, such as -0.0."""
+    """Score arrays built directly, to reach values such as -0.0 that a BLAS
+    sum starting from +0.0 never returns."""
 
     def test_signed_zeros_infinities_and_nan_tail(self):
         rng = np.random.default_rng(35)
@@ -93,10 +95,10 @@ class TestSelectionOnScores:
         for _ in range(300):
             n = int(rng.integers(1, 200))
             scores = rng.choice(values, size=n)
-            finite_or_inf = int(np.count_nonzero(~np.isnan(scores)))
-            if finite_or_inf == 0:
+            not_nan = int(np.count_nonzero(~np.isnan(scores)))
+            if not_nan == 0:
                 continue
-            k = int(rng.integers(1, finite_or_inf + 1))
+            k = int(rng.integers(1, not_nan + 1))
             expected = np.argsort(-scores, kind="stable")[:k]
             assert _top_rows(scores, k).tolist() == expected.tolist()
 
