@@ -53,11 +53,13 @@ class EmbeddingMatrix:
             raise ValueError(
                 f"id count {len(self.ids)} does not match row count {self.data.shape[0]}"
             )
-        self._row_of = {}
-        for i, pid in enumerate(self.ids):
-            if pid in self._row_of:
-                raise ValueError(f"duplicate id {pid!r} at rows {self._row_of[pid]} and {i}")
-            self._row_of[pid] = i
+        self._row_of = dict(zip(self.ids, range(len(self.ids))))
+        if len(self._row_of) != len(self.ids):
+            first: dict[str, int] = {}
+            for i, pid in enumerate(self.ids):
+                if pid in first:
+                    raise ValueError(f"duplicate id {pid!r} at rows {first[pid]} and {i}")
+                first[pid] = i
 
     @property
     def rows(self) -> int:
@@ -136,16 +138,68 @@ def _exact_reader(fh):
     """
     left = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    def read(n: int, what: str, index: int | None = None) -> bytes:
+    def read(n: int, what: str) -> bytes:
         nonlocal left
         raw = fh.read(n) if n <= left else b""
         if len(raw) != n:
-            where = what if index is None else f"{what} {index}"
-            raise FormatError(f"truncated file while reading {where}")
+            raise FormatError(f"truncated file while reading {what}")
         left -= n
         return raw
 
     return read
+
+
+_U32 = struct.Struct("<I")
+
+
+def _read_ids(fh, n: int, size: int) -> tuple[list[str], int]:
+    """Read n ids (u32 byte length, then UTF-8 bytes) from the next `size`
+    bytes of `fh` in one read. Returns the ids and the bytes they take.
+
+    In a well-formed file the ids take exactly `size` bytes. If they run
+    past it, the file is corrupt: the rest of the file is read, so that a
+    truncation error names the same id field as reading id by id would.
+    """
+    buf = fh.read(max(size, 0))
+    end = len(buf)
+    ids: list[str] = []
+    append, unpack = ids.append, _U32.unpack_from  # local names: this loop runs once per row
+    pos = 0
+    for i in range(n):
+        if pos + 4 > end:
+            buf = _read_on(fh, buf, pos + 4, f"id length {i}")
+            end = len(buf)
+        (length,) = unpack(buf, pos)
+        pos += 4
+        stop = pos + length
+        if stop > end:
+            buf = _read_on(fh, buf, stop, f"id {i}")
+            end = len(buf)
+        try:
+            append(buf[pos:stop].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"id {i} is not UTF-8: {exc}") from None
+        pos = stop
+    return ids, pos
+
+
+def _read_on(fh, buf: bytes, end: int, what: str) -> bytes:
+    """`buf` followed by the rest of `fh`, which must reach offset `end`."""
+    buf += fh.read()
+    if end > len(buf):
+        raise FormatError(f"truncated file while reading {what}")
+    return buf
+
+
+def _row_norms(data: np.ndarray, block: int = 4096) -> np.ndarray:
+    """Float64 L2 norm of each row, converted a block of rows at a time so
+    no float64 copy of the whole matrix is made."""
+    norms = np.empty(data.shape[0])
+    for start in range(0, data.shape[0], block):
+        norms[start : start + block] = np.linalg.norm(
+            data[start : start + block].astype(np.float64), axis=1
+        )
+    return norms
 
 
 def load_matrix(
@@ -171,18 +225,18 @@ def load_matrix(
         (norm_flag,) = struct.unpack("<B", read(1, "normalized flag"))
         if expect_dim is not None and dim != expect_dim:
             raise FormatError(f"dimension mismatch: file has d={dim}, expected d={expect_dim}")
-        ids = []
-        for i in range(n):
-            (length,) = struct.unpack("<I", read(4, "id length", i))
-            try:
-                ids.append(read(length, "id", i).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"id {i} is not UTF-8: {exc}") from None
-        payload = read(n * dim * 4, "float payload")
-        trailing = fh.read(1)
-        if trailing:
+        # the ids fill what the header and the float payload leave of the file
+        ids_size = os.fstat(fh.fileno()).st_size - fh.tell() - n * dim * 4
+        ids, used = _read_ids(fh, n, ids_size)
+        if used > ids_size:
+            raise FormatError("truncated file while reading float payload")
+        if used < ids_size:
             raise FormatError("trailing bytes after float payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
+        # the payload gets its own buffer: at the ids' end it could be
+        # unaligned, and numpy's matmul does not use BLAS on unaligned data
+        data = np.empty((n, dim), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise FormatError("truncated file while reading float payload")
     data = np.ascontiguousarray(data, dtype=np.float32)
     if not np.isfinite(data).all():
         raise FormatError("non-finite values in float payload")
@@ -191,7 +245,7 @@ def load_matrix(
     except ValueError as exc:  # duplicate ids
         raise FormatError(str(exc)) from None
     if matrix.normalized and validate_norms and n > 0:
-        norms = np.linalg.norm(data.astype(np.float64), axis=1)
+        norms = _row_norms(data)
         worst = int(np.argmax(np.abs(norms - 1.0)))
         if abs(norms[worst] - 1.0) > NORM_TOLERANCE:
             raise FormatError(

@@ -24,9 +24,12 @@ with each weight matrix stored row-major as (d_out, d_in).
 
 from __future__ import annotations
 
+import contextvars
 import io
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,13 +113,16 @@ def param_count(model: AssocModel) -> int:
     return sum(arr.size for _, arr in model.param_items())
 
 
-def _gelu(y: np.ndarray) -> np.ndarray:
-    return 0.5 * y * (1.0 + erf(y * _INV_SQRT2))
+def _gelu(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(y) and erf(y / sqrt(2)), which `_gelu_grad` reuses."""
+    e = erf(y * _INV_SQRT2)
+    return 0.5 * y * (1.0 + e), e
 
 
-def _gelu_grad(y: np.ndarray) -> np.ndarray:
+def _gelu_grad(y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d GELU / dy at y, given e = erf(y / sqrt(2)) from `_gelu`."""
     phi = np.exp(-0.5 * y * y) * _INV_SQRT_2PI
-    return 0.5 * (1.0 + erf(y * _INV_SQRT2)) + y * phi
+    return 0.5 * (1.0 + e) + y * phi
 
 
 def _check_finite(arr: np.ndarray, stage: str) -> None:
@@ -147,7 +153,7 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
 
     h = x
     lns = []   # per layernorm: (xhat, inv_sigma)
-    acts = []  # per block: (y, a) with y the LN output
+    acts = []  # per block: (y, erf(y / sqrt(2))) with y the LN output
     inputs = [x]
     for i in range(3):
         z = _affine(model, h, i)
@@ -158,9 +164,9 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
         xhat = centered * inv_sigma
         y = xhat * model.ln_scales[i] + model.ln_shifts[i]
         _check_finite(y, f"layernorm {i}")
-        a = _gelu(y)
+        a, e = _gelu(y)
         lns.append((xhat, inv_sigma))
-        acts.append((y, a))
+        acts.append((y, e))
         inputs.append(a)
         h = a
     g = _affine(model, h, 3)
@@ -217,8 +223,8 @@ def backward_batch(model: AssocModel, cache: dict, df: np.ndarray) -> dict[str, 
     grads["b3"] = dh.sum(axis=0)
     dh = dh @ model.weights[3]
     for i in (2, 1, 0):
-        y, _ = cache["acts"][i]
-        dh = dh * _gelu_grad(y)
+        y, e = cache["acts"][i]
+        dh = dh * _gelu_grad(y, e)
         xhat, inv_sigma = cache["lns"][i]
         grads[f"ln{i}_scale"] = (dh * xhat).sum(axis=0)
         grads[f"ln{i}_shift"] = dh.sum(axis=0)
@@ -249,14 +255,38 @@ def transform_matrix(
     source: str = "",
     batch: int = 1024,
 ) -> TransformedMatrix:
-    """Apply f to every row. Row order and ids match the source matrix."""
+    """Apply f to every row. Row order and ids match the source matrix.
+
+    Each block of `batch` rows is one forward_batch call, run on a thread
+    pool with one thread per usable CPU. The bits depend on `batch` but not
+    on the thread count. The caller's numpy error state applies in every
+    thread, and an error is raised from the lowest failing block.
+    """
     if matrix.dim != model.dim:
         raise ValueError(f"matrix dim {matrix.dim} does not match model dim {model.dim}")
     out = np.empty_like(matrix.data)
-    for start in range(0, matrix.rows, batch):
-        block, _ = forward_batch(model, matrix.data[start : start + batch], degenerate="zero")
+    starts = range(0, matrix.rows, batch)
+    context = contextvars.copy_context()
+
+    def run_block(start: int) -> None:
+        # a Context can be entered by one thread at a time, so each block gets a copy
+        block, _ = context.copy().run(
+            forward_batch, model, matrix.data[start : start + batch], degenerate="zero"
+        )
         out[start : start + batch] = block
+
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
+        for _ in pool.map(run_block, starts):
+            pass
     return TransformedMatrix(source=source, ids=list(matrix.ids), data=out)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def save_model(model: AssocModel, path: str) -> None:

@@ -139,7 +139,10 @@ def score_pool(
     """Retrieve a dense pool and attach association scores (dense order)."""
     _check_pool_inputs(passages, transformed, config)
     q = np.asarray(query, dtype=np.float32)
-    rows, sims = top_k(q, passages, config.pool_depth)
+    try:
+        rows, sims = top_k(q, passages, config.pool_depth)
+    except ValueError as exc:
+        raise ValueError(f"query {query_id!r}: {exc}") from None
     fq = forward(model, q, degenerate="zero")
     assocs = _association_readout(q, fq, rows, passages, transformed, config.mode)
     return ScoredPool(query_id=query_id, rows=rows, sims=sims, assocs=assocs)

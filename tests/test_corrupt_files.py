@@ -10,11 +10,19 @@ A save that fails before its rename leaves the old file and no temp file.
 """
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from assocrank.embeddings import EmbeddingMatrix, FormatError, load_matrix, save_matrix
+from assocrank.embeddings import (
+    MAGIC,
+    VERSION,
+    EmbeddingMatrix,
+    FormatError,
+    load_matrix,
+    save_matrix,
+)
 from assocrank.model import AssocModel, CheckpointError, load_model, save_model
 from assocrank.pairs import (
     AssocPairSet,
@@ -97,6 +105,76 @@ def test_damaged_file_loads_or_raises_its_format_error(tmp_path, fmt):
             pass
         except Exception as exc:  # any other exception type is the failure
             pytest.fail(f"{fmt} {what}: {type(exc).__name__}: {exc}")
+
+
+def read_matrix_field_by_field(raw):
+    """Reference .aare reader: one read per header field, per id length and
+    per id, then the payload and the load checks. Returns (ids, data bytes)
+    or the FormatError message."""
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(raw):
+            raise FormatError(f"truncated file while reading {what}")
+        pos += n
+        return raw[pos - n : pos]
+
+    try:
+        magic = take(4, "magic")
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        (version,) = struct.unpack("<I", take(4, "version"))
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}, expected {VERSION}")
+        (n,) = struct.unpack("<Q", take(8, "row count"))
+        (dim,) = struct.unpack("<I", take(4, "dim"))
+        (normalized,) = struct.unpack("<B", take(1, "normalized flag"))
+        ids = []
+        for i in range(n):
+            (length,) = struct.unpack("<I", take(4, f"id length {i}"))
+            try:
+                ids.append(take(length, f"id {i}").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"id {i} is not UTF-8: {exc}") from None
+        data = np.frombuffer(take(n * dim * 4, "float payload"), dtype="<f4").reshape(n, dim)
+        if pos < len(raw):
+            raise FormatError("trailing bytes after float payload")
+        if not np.isfinite(data).all():
+            raise FormatError("non-finite values in float payload")
+        first = {}
+        for i, pid in enumerate(ids):
+            if pid in first:
+                raise FormatError(f"duplicate id {pid!r} at rows {first[pid]} and {i}")
+            first[pid] = i
+        if normalized and n > 0:
+            norms = np.linalg.norm(data.astype(np.float64), axis=1)
+            worst = int(np.argmax(np.abs(norms - 1.0)))
+            if abs(norms[worst] - 1.0) > 1e-4:
+                raise FormatError(
+                    f"row {worst} (id {ids[worst]!r}) claims unit norm but has norm {norms[worst]:.6f}"
+                )
+    except FormatError as exc:
+        return str(exc)
+    return ids, data.tobytes()
+
+
+def test_damaged_matrix_errors_match_a_field_by_field_reader(tmp_path):
+    # ids of 1, 2, 3 and 2 bytes, so the payload starts at an odd offset
+    data = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
+    path = tmp_path / "file.aare"
+    save_matrix(EmbeddingMatrix(ids=["a", "bb", "ccc", "é"], data=data, normalized=True), str(path))
+    raw = path.read_bytes()
+    copies = [("as written", raw), ("one trailing byte", raw + b"x")]
+    for what, damaged in copies + list(damaged_copies(raw, seed=7)):
+        path.write_bytes(damaged)
+        try:
+            loaded = load_matrix(str(path))
+            got = (loaded.ids, loaded.data.tobytes())
+        except FormatError as exc:
+            got = str(exc)
+        assert got == read_matrix_field_by_field(damaged), what
 
 
 @pytest.mark.parametrize("fmt, line", [("records", "[1, 2]"), ("texts", "5")])

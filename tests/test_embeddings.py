@@ -151,6 +151,16 @@ class TestContainerFormat:
         save_matrix(m, str(path))
         assert load_matrix(str(path)).ids == m.ids
 
+    def test_payload_is_aligned_after_odd_length_ids(self, tmp_path):
+        # 4 + 1 + 4 + 2 + 4 + 3 bytes of ids leave the payload at an odd offset
+        # in the file; numpy's matmul skips BLAS on unaligned float32 data
+        data = np.random.default_rng(5).normal(size=(3, 8)).astype(np.float32)
+        path = tmp_path / "odd.aare"
+        save_matrix(EmbeddingMatrix(ids=["a", "bb", "ccc"], data=data), str(path))
+        back = load_matrix(str(path))
+        assert back.data.flags.aligned
+        assert back.data.tobytes() == data.tobytes()
+
     def test_empty_matrix_roundtrip(self, tmp_path):
         m = EmbeddingMatrix(ids=[], data=np.zeros((0, 5), dtype=np.float32))
         path = tmp_path / "e.aare"

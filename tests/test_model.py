@@ -2,11 +2,13 @@
 
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from assocrank import model as model_module
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import (
     LN_EPS,
@@ -198,6 +200,66 @@ class TestTransformMatrix:
         m = EmbeddingMatrix(ids=["a"], data=np.ones((1, 5), dtype=np.float32))
         with pytest.raises(ValueError, match="does not match model dim"):
             transform_matrix(model, m)
+
+    @staticmethod
+    def serial_transform(model, data, batch=1024):
+        """Reference: one forward_batch per block of `batch` rows, in order."""
+        out = np.empty_like(data)
+        for start in range(0, data.shape[0], batch):
+            block, _ = forward_batch(model, data[start : start + batch], degenerate="zero")
+            out[start : start + batch] = block
+        return out
+
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 2500])
+    def test_threaded_blocks_equal_the_serial_loop(self, n):
+        # at init g(0) = 0, so a zero row is degenerate; put one at a block edge
+        model = AssocModel.initialize(16, seed=3)
+        data = np.random.default_rng(n).normal(size=(n, 16)).astype(np.float32)
+        data[min(n, 1025) - 1] = 0.0
+        threads = threading.active_count()
+        t = transform_matrix(model, EmbeddingMatrix([f"p{i}" for i in range(n)], data))
+        assert threading.active_count() == threads
+        expected = self.serial_transform(model, data)
+        assert t.data.tobytes() == expected.tobytes()
+        assert np.all(t.data[min(n, 1025) - 1] == 0.0)
+
+    def test_errors_match_the_serial_loop(self):
+        model = AssocModel.initialize(16, seed=3)
+        data = np.random.default_rng(1).normal(size=(2500, 16)).astype(np.float32)
+        data[1500] = 3e38  # overflows, in the middle block
+        m = EmbeddingMatrix([f"p{i}" for i in range(2500)], data)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError) as serial:
+            self.serial_transform(model, data)
+        with pytest.raises(FloatingPointError) as threaded:
+            transform_matrix(model, m)
+        assert str(threaded.value) == str(serial.value)
+        assert str(serial.value).startswith("non-finite values after ")
+        assert threading.active_count() == threads
+
+        # the caller's numpy error state holds in the pool's threads too:
+        # squaring a 1e-30 row in the layernorm underflows float32
+        data[1500] = 1e-30
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError) as serial:
+                self.serial_transform(model, data)
+            with pytest.raises(FloatingPointError) as threaded:
+                transform_matrix(model, m)
+        assert str(threaded.value) == str(serial.value) == "underflow encountered in multiply"
+        assert threading.active_count() == threads
+
+    def test_lowest_failing_block_is_raised(self, monkeypatch):
+        def failing_forward_batch(model, x, degenerate):
+            start = int(x[0, 0])
+            if start >= 1024:
+                raise FloatingPointError(f"block at row {start}")
+            return x, {}
+
+        monkeypatch.setattr(model_module, "forward_batch", failing_forward_batch)
+        data = np.repeat(np.arange(4000, dtype=np.float32)[:, None], 4, axis=1)
+        m = EmbeddingMatrix([f"p{i}" for i in range(4000)], data)
+        with pytest.raises(FloatingPointError, match="^block at row 1024$"):
+            transform_matrix(AssocModel.initialize(4, seed=0), m)
 
 
 class TestCheckpoint:

@@ -229,6 +229,17 @@ class TestScorePool:
 
 
 class TestRerankQuery:
+    def test_nan_query_error_names_the_query(self):
+        passages = EmbeddingMatrix(ids=[f"p{i}" for i in range(4)], data=np.eye(4, dtype=np.float32))
+        model = AssocModel.initialize(4, seed=0)
+        q = np.array([np.nan, 0.0, 0.0, 0.0], dtype=np.float32)
+        cfg = RerankConfig(pool_depth=1, cutoff=1)
+        with pytest.raises(
+            ValueError,
+            match=r"^query 'q7': query scores are NaN for 4 of 4 passages, leaving fewer than K=1 to rank$",
+        ):
+            rerank_query("q7", q, passages, transform_matrix(model, passages), model, cfg)
+
     def test_pool_containment_and_cutoff(self):
         rng = np.random.default_rng(8)
         passages, model, transformed = pipeline_parts(rng)
