@@ -191,13 +191,13 @@ def _read_on(fh, buf: bytes, end: int, what: str) -> bytes:
     return buf
 
 
-def _row_norms(data: np.ndarray, block: int = 4096) -> np.ndarray:
-    """Float64 L2 norm of each row, converted a block of rows at a time so
-    no float64 copy of the whole matrix is made."""
+def _row_norms(data: np.ndarray) -> np.ndarray:
+    """Float64 L2 norm of each row, converted 4096 rows at a time so no
+    float64 copy of the whole matrix is made."""
     norms = np.empty(data.shape[0])
-    for start in range(0, data.shape[0], block):
-        norms[start : start + block] = np.linalg.norm(
-            data[start : start + block].astype(np.float64), axis=1
+    for start in range(0, data.shape[0], 4096):
+        norms[start : start + 4096] = np.linalg.norm(
+            data[start : start + 4096].astype(np.float64), axis=1
         )
     return norms
 

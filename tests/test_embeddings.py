@@ -15,6 +15,7 @@ from assocrank.embeddings import (
     VERSION,
     EmbeddingMatrix,
     FormatError,
+    _row_norms,
     l2_normalize_rows,
     load_matrix,
     save_matrix,
@@ -239,3 +240,8 @@ class TestLoadValidation:
             load_matrix(str(path))
         back = load_matrix(str(path), validate_norms=False)
         assert back.normalized
+
+    def test_blocked_norms_equal_the_whole_matrix_norms(self):
+        data = np.random.default_rng(31).normal(size=(9000, 7)).astype(np.float32)
+        expected = np.linalg.norm(data.astype(np.float64), axis=1)
+        assert _row_norms(data).tobytes() == expected.tobytes()

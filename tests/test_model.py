@@ -223,6 +223,7 @@ class TestTransformMatrix:
         assert t.data.tobytes() == expected.tobytes()
         assert np.all(t.data[min(n, 1025) - 1] == 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 3e38 row's overflow
     def test_errors_match_the_serial_loop(self):
         model = AssocModel.initialize(16, seed=3)
         data = np.random.default_rng(1).normal(size=(2500, 16)).astype(np.float32)
@@ -240,6 +241,7 @@ class TestTransformMatrix:
         # the caller's numpy error state holds in the pool's threads too:
         # squaring a 1e-30 row in the layernorm underflows float32
         data[1500] = 1e-30
+        m = EmbeddingMatrix(m.ids, data)
         with np.errstate(under="raise"):
             with pytest.raises(FloatingPointError) as serial:
                 self.serial_transform(model, data)
