@@ -3,6 +3,7 @@
 import math
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,8 +211,14 @@ class TestTransformMatrix:
             out[start : start + batch] = block
         return out
 
+    @pytest.fixture
+    def three_threads(self, monkeypatch):
+        """A pool of up to three threads, whatever this machine's CPUs and BLAS."""
+        monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(model_module, "_BLAS_THREADS", 1)
+
     @pytest.mark.parametrize("n", [1, 1024, 1025, 2500])
-    def test_threaded_blocks_equal_the_serial_loop(self, n):
+    def test_threaded_blocks_equal_the_serial_loop(self, n, three_threads):
         # at init g(0) = 0, so a zero row is degenerate; put one at a block edge
         model = AssocModel.initialize(16, seed=3)
         data = np.random.default_rng(n).normal(size=(n, 16)).astype(np.float32)
@@ -224,7 +231,7 @@ class TestTransformMatrix:
         assert np.all(t.data[min(n, 1025) - 1] == 0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 3e38 row's overflow
-    def test_errors_match_the_serial_loop(self):
+    def test_errors_match_the_serial_loop(self, three_threads):
         model = AssocModel.initialize(16, seed=3)
         data = np.random.default_rng(1).normal(size=(2500, 16)).astype(np.float32)
         data[1500] = 3e38  # overflows, in the middle block
@@ -250,7 +257,7 @@ class TestTransformMatrix:
         assert str(threaded.value) == str(serial.value) == "underflow encountered in multiply"
         assert threading.active_count() == threads
 
-    def test_lowest_failing_block_is_raised(self, monkeypatch):
+    def test_lowest_failing_block_is_raised(self, monkeypatch, three_threads):
         def failing_forward_batch(model, x, degenerate):
             start = int(x[0, 0])
             if start >= 1024:
@@ -262,6 +269,50 @@ class TestTransformMatrix:
         m = EmbeddingMatrix([f"p{i}" for i in range(4000)], data)
         with pytest.raises(FloatingPointError, match="^block at row 1024$"):
             transform_matrix(AssocModel.initialize(4, seed=0), m)
+
+    @pytest.mark.parametrize(
+        "cpus, blas, workers",
+        [(2, 2, 1), (2, 1, 2), (1, 1, 1), (8, 2, 3), (8, 3, 2), (3, 4, 1)],
+    )
+    def test_pool_leaves_blas_its_cpus(self, monkeypatch, cpus, blas, workers):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(model_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(model_module, "_BLAS_THREADS", blas)
+        data = np.random.default_rng(2).normal(size=(2500, 4)).astype(np.float32)
+        model = AssocModel.initialize(4, seed=0)
+        t = transform_matrix(model, EmbeddingMatrix([f"p{i}" for i in range(2500)], data))
+        assert sizes == [workers]  # never more than the 3 blocks
+        assert t.data.tobytes() == self.serial_transform(model, data).tobytes()
+
+    # each case matches the number of threads numpy's OpenBLAS started on 2 CPUs
+    @pytest.mark.parametrize(
+        "env, threads",
+        [
+            ({}, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ({"GOTO_NUM_THREADS": "1"}, 1),
+            ({"OMP_NUM_THREADS": "1"}, 1),
+            ({"MKL_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ],
+    )
+    def test_blas_threads_are_read_as_openblas_reads_them(self, monkeypatch, env, threads):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+        assert model_module._blas_threads() == threads
 
 
 class TestCheckpoint:
