@@ -5,7 +5,7 @@ then a small residual-gated MLP rescores each candidate with a learned
 query-passage association signal that is blended with the dense similarity.
 """
 
-from assocrank.embeddings import EmbeddingMatrix, l2_normalize_rows, load_matrix, save_matrix
+from assocrank.embeddings import EmbeddingMatrix, load_matrix, save_matrix
 from assocrank.model import AssocModel, forward, load_model, param_count, save_model, transform_matrix
 from assocrank.pairs import AssocPairSet, QuestionRecord, extract_pairs, split_policy
 from assocrank.rerank import RerankConfig, rerank_query
@@ -24,7 +24,6 @@ __all__ = [
     "TrainReport",
     "extract_pairs",
     "forward",
-    "l2_normalize_rows",
     "load_matrix",
     "load_model",
     "param_count",

@@ -242,29 +242,33 @@ def cmd_rerank(cfg: dict) -> int:
     return 0
 
 
-def _scored_pools(passages, queries, model, transformed, config):
-    pools = []
-    for i, qid in enumerate(queries.ids):
-        pools.append(
-            rerank_mod.score_pool(qid, queries.data[i], passages, transformed, model, config)
-        )
-    return pools
-
-
-def cmd_eval(cfg: dict) -> int:
-    started = time.perf_counter()
+def _scored_queries(cfg: dict, ks_key: str):
+    """(passages, config, ks, pools, records): the loaded pipeline, the ks set
+    by `ks_key`, one scored pool per query, and those queries' records."""
     passages, queries, model, transformed, config = _load_pipeline(cfg)
     records = pairs_mod.load_records(require(cfg, "records"))
     known = {rec.question_id for rec in records}
     missing = [qid for qid in queries.ids if qid not in known]
     if missing:
         raise CliError(f"no record for query {missing[0]!r}")
+    ks = tuple(_typed(cfg, ks_key, "list[int]", evaluation.DEFAULT_KS))
+    if not ks or min(ks) < 1:
+        raise CliError(f"{ks_key} must be a non-empty list of ks >= 1, got {list(ks)}")
+    if max(ks) > config.pool_depth:
+        raise CliError(f"{ks_key} {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
+    pools = [
+        rerank_mod.score_pool(qid, queries.data[i], passages, transformed, model, config)
+        for i, qid in enumerate(queries.ids)
+    ]
+    asked = set(queries.ids)
+    return passages, config, ks, pools, [rec for rec in records if rec.question_id in asked]
+
+
+def cmd_eval(cfg: dict) -> int:
+    started = time.perf_counter()
+    passages, config, ks, pools, records = _scored_queries(cfg, "eval.ks")
     texts_path = _typed(cfg, "texts", "str", None)
     texts = pairs_mod.load_texts(texts_path) if texts_path is not None else None
-    ks = tuple(_typed(cfg, "eval.ks", "list[int]", evaluation.DEFAULT_KS))
-    if max(ks) > config.pool_depth:
-        raise CliError(f"eval.ks {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
-    pools = _scored_pools(passages, queries, model, transformed, config)
 
     dense_rankings = {}
     rerank_rankings = {}
@@ -273,9 +277,8 @@ def cmd_eval(cfg: dict) -> int:
         ranked = rerank_mod.rank_rows(pool, config.blend_lambda, len(pool.rows))
         rerank_rankings[pool.query_id] = [passages.ids[r] for r in ranked]
 
-    eval_records = [rec for rec in records if rec.question_id in dense_rankings]
-    baseline = evaluation.evaluate_system("dense", dense_rankings, eval_records, ks, texts)
-    reranked = evaluation.evaluate_system("rerank", rerank_rankings, eval_records, ks, texts)
+    baseline = evaluation.evaluate_system("dense", dense_rankings, records, ks, texts)
+    reranked = evaluation.evaluate_system("rerank", rerank_rankings, records, ks, texts)
     report = evaluation.compare_systems(
         baseline,
         reranked,
@@ -307,43 +310,27 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
+def _write_table(path: str, rows: list[dict], leading: list[str], ks: tuple[int, ...]) -> None:
+    """CSV of a sweep table: the `leading` columns, then recall_at_{k} per k."""
     buf = io.StringIO()
+    columns = leading + [f"recall_at_{k}" for k in ks]
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def cmd_sweep(cfg: dict) -> int:
-    passages, queries, model, transformed, config = _load_pipeline(cfg)
-    records = pairs_mod.load_records(require(cfg, "records"))
-    ks = tuple(_typed(cfg, "sweep.ks", "list[int]", evaluation.DEFAULT_KS))
-    pools = _scored_pools(passages, queries, model, transformed, config)
-    by_qid = {rec.question_id for rec in records}
-    for pool in pools:
-        if pool.query_id not in by_qid:
-            raise CliError(f"no record for query {pool.query_id!r}")
-    eval_records = [rec for rec in records if rec.question_id in {p.query_id for p in pools}]
-
+    passages, config, ks, pools, records = _scored_queries(cfg, "sweep.ks")
     lambdas = _typed(cfg, "sweep.lambdas", "list[float]", [0.0, 0.25, 0.5, 0.75, 1.0])
-    lam_rows = evaluation.lambda_sweep(pools, passages.ids, eval_records, lambdas, ks)
-    _write_csv(
-        require(cfg, "sweep.lambda_out"),
-        lam_rows,
-        ["lambda"] + [f"recall_at_{k}" for k in ks],
-    )
+    lam_rows = evaluation.lambda_sweep(pools, passages.ids, records, lambdas, ks)
+    _write_table(require(cfg, "sweep.lambda_out"), lam_rows, ["lambda"], ks)
 
     depths = _typed(cfg, "sweep.depths", "list[int]", [10, 20, 50, 100])
     depth_rows = evaluation.pool_depth_sweep(
-        pools, passages.ids, eval_records, depths, config.blend_lambda, ks
+        pools, passages.ids, records, depths, config.blend_lambda, ks
     )
-    _write_csv(
-        require(cfg, "sweep.depth_out"),
-        depth_rows,
-        ["depth", "gold_in_pool"] + [f"recall_at_{k}" for k in ks],
-    )
+    _write_table(require(cfg, "sweep.depth_out"), depth_rows, ["depth", "gold_in_pool"], ks)
     print(json.dumps({"lambdas": len(lam_rows), "depths": len(depth_rows)}, sort_keys=True))
     return 0
 

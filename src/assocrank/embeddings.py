@@ -79,20 +79,6 @@ class EmbeddingMatrix:
         return pid in self._row_of
 
 
-def l2_normalize_rows(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Return a copy with every row scaled to unit L2 norm.
-
-    Directions are preserved exactly; a zero row cannot be normalized and is
-    a hard error naming the offending id.
-    """
-    norms = np.linalg.norm(matrix.data.astype(np.float64), axis=1)
-    bad = np.where(norms <= 1e-30)[0]
-    if bad.size:
-        raise ValueError(f"cannot normalize zero row for id {matrix.ids[bad[0]]!r}")
-    scaled = (matrix.data / norms[:, None].astype(np.float32)).astype(np.float32)
-    return EmbeddingMatrix(ids=list(matrix.ids), data=scaled, normalized=True)
-
-
 def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
     buf = io.BytesIO()
     buf.write(MAGIC)

@@ -19,7 +19,7 @@ from assocrank import rerank
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, TransformedMatrix
 from assocrank.pairs import QuestionRecord
-from assocrank.rerank import RerankConfig, ScoredPool, rank_rows
+from assocrank.rerank import RerankConfig, ScoredPool
 
 DEFAULT_KS = (5, 10, 20)
 
@@ -80,13 +80,19 @@ def coverage_at_k(ranked_texts: list[str], answer: str, k: int) -> float:
     """1.0 if the normalized answer occurs in any normalized top-k text."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return 1.0 if _answer_rank(ranked_texts, answer, k) < k else 0.0
+
+
+def _answer_rank(ranked_texts: list[str], answer: str, limit: int) -> int:
+    """0-based rank of the first of the top `limit` texts whose normalized
+    form contains the normalized answer, or `limit` if none does."""
     needle = qa_normalize(answer)
     if not needle:
         raise ValueError("answer normalizes to the empty string")
-    for text in ranked_texts[:k]:
+    for rank, text in enumerate(ranked_texts[:limit]):
         if needle in qa_normalize(text):
-            return 1.0
-    return 0.0
+            return rank
+    return limit
 
 
 @dataclass
@@ -95,7 +101,6 @@ class QuestionResult:
     gold_ids: list[str]
     gold_ranks: dict[str, int | None]  # 1-based rank in the ranking, None if absent
     recall: dict[int, float]
-    coverage: dict[int, float] | None = None
 
 
 @dataclass
@@ -149,18 +154,16 @@ def evaluate_system(
         for gid in rec.gold_passage_ids:
             ranks[gid] = ranked.index(gid) + 1 if gid in ranked else None
         recall = {k: recall_at_k(ranked, rec.gold_passage_ids, k) for k in ks}
-        coverage = None
         if texts is not None:
             ranked_texts = [texts[pid] for pid in ranked]
-            coverage = {k: coverage_at_k(ranked_texts, rec.gold_answer, k) for k in ks}
+            hit = _answer_rank(ranked_texts, rec.gold_answer, max(ks, default=0))
             for k in ks:
-                cov_acc[k] += coverage[k]
+                cov_acc[k] += 1.0 if hit < k else 0.0
         questions[rec.question_id] = QuestionResult(
             question_id=rec.question_id,
             gold_ids=list(rec.gold_passage_ids),
             gold_ranks=ranks,
             recall=recall,
-            coverage=coverage,
         )
     n = len(records)
     recall_agg = {k: sum(q.recall[k] for q in questions.values()) / n for k in ks}
@@ -251,6 +254,43 @@ def compare_systems(
     )
 
 
+def _stack_pools(
+    pools: list[ScoredPool], ids: list[str], records: list[QuestionRecord]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pools as (Q, K) rows, sims and assocs, a (Q, K) mask of the pool
+    slots that hold gold, and each query's gold count.
+
+    Rows within a pool are distinct, as `score_pool` returns them, so any
+    ranked prefix of the mask counts each gold passage at most once.
+    """
+    depths = sorted({len(p.rows) for p in pools})
+    if len(depths) != 1:
+        raise ValueError(f"pools must share one depth, got depths {depths}")
+    by_qid = {rec.question_id: rec for rec in records}
+    gold_sets = [set(by_qid[p.query_id].gold_passage_ids) for p in pools]
+    if not all(gold_sets):
+        raise ValueError("empty gold set")
+    rows = np.stack([p.rows for p in pools])
+    sims = np.stack([p.sims for p in pools])
+    assocs = np.stack([p.assocs for p in pools])
+    gold = np.array(
+        [[ids[r] in g for r in row] for row, g in zip(rows.tolist(), gold_sets)], dtype=bool
+    )
+    return rows, sims, assocs, gold, np.array([len(g) for g in gold_sets])
+
+
+def _recall_columns(
+    row: dict, ranked_gold: np.ndarray, gold_counts: np.ndarray, ks: tuple[int, ...]
+) -> dict:
+    """`row` with a `recall_at_{k}` column per k: the mean over queries of the
+    gold share in the first k slots of `ranked_gold`, a gold mask in rank order."""
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        row[f"recall_at_{k}"] = float(np.mean(ranked_gold[:, :k].sum(axis=1) / gold_counts))
+    return row
+
+
 def lambda_sweep(
     pools: list[ScoredPool],
     ids: list[str],
@@ -263,24 +303,15 @@ def lambda_sweep(
     The lambda = 0 row reproduces the dense baseline exactly: blending with
     weight zero leaves the float32 similarities untouched.
     """
-    by_qid = {rec.question_id: rec for rec in records}
-    rows = []
+    rows, sims, assocs, gold, gold_counts = _stack_pools(pools, ids, records)
+    table = []
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
-        rankings = {}
-        for pool in pools:
-            ranked = rank_rows(pool, lam, max(ks))
-            rankings[pool.query_id] = [ids[r] for r in ranked]
-        row = {"lambda": lam}
-        for k in ks:
-            row[f"recall_at_{k}"] = float(
-                np.mean(
-                    [recall_at_k(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
-                )
-            )
-        rows.append(row)
-    return rows
+        order, _ = rerank._blend_order(rows, sims, assocs, lam, max(ks))
+        ranked_gold = np.take_along_axis(gold, order, axis=-1)
+        table.append(_recall_columns({"lambda": lam}, ranked_gold, gold_counts, ks))
+    return table
 
 
 def pool_depth_sweep(
@@ -296,35 +327,19 @@ def pool_depth_sweep(
     Pools are sim-ordered, so depth K' is the K'-prefix; recall at cutoff k
     can never exceed the fraction of gold inside the truncated pool.
     """
-    by_qid = {rec.question_id: rec for rec in records}
-    max_depth = min(len(p.rows) for p in pools)
-    rows = []
+    rows, sims, assocs, gold, gold_counts = _stack_pools(pools, ids, records)
+    table = []
     for depth in depths:
-        if not 1 <= depth <= max_depth:
-            raise ValueError(f"depth {depth} out of range (pool holds {max_depth})")
-        rankings = {}
-        containment = []
-        for pool in pools:
-            truncated = ScoredPool(
-                query_id=pool.query_id,
-                rows=pool.rows[:depth],
-                sims=pool.sims[:depth],
-                assocs=pool.assocs[:depth],
-            )
-            ranked = rank_rows(truncated, blend_lambda, min(max(ks), depth))
-            rankings[pool.query_id] = [ids[r] for r in ranked]
-            gold = set(by_qid[pool.query_id].gold_passage_ids)
-            inside = len(gold & {ids[r] for r in truncated.rows}) / len(gold)
-            containment.append(inside)
-        row = {"depth": depth, "gold_in_pool": float(np.mean(containment))}
-        for k in ks:
-            row[f"recall_at_{k}"] = float(
-                np.mean(
-                    [recall_at_k(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
-                )
-            )
-        rows.append(row)
-    return rows
+        if not 1 <= depth <= rows.shape[1]:
+            raise ValueError(f"depth {depth} out of range (pool holds {rows.shape[1]})")
+        order, _ = rerank._blend_order(
+            rows[:, :depth], sims[:, :depth], assocs[:, :depth], blend_lambda, max(ks)
+        )
+        in_pool = gold[:, :depth]
+        row = {"depth": depth, "gold_in_pool": float(np.mean(in_pool.sum(axis=1) / gold_counts))}
+        ranked_gold = np.take_along_axis(in_pool, order, axis=-1)
+        table.append(_recall_columns(row, ranked_gold, gold_counts, ks))
+    return table
 
 
 @dataclass
@@ -402,6 +417,7 @@ def rank_movement_report(
 @dataclass
 class ComponentTiming:
     mean_ms: float
+    p50_ms: float
     p95_ms: float
 
 
@@ -411,7 +427,7 @@ class LatencyStats:
 
     def to_json_dict(self) -> dict:
         return {
-            name: {"mean_ms": t.mean_ms, "p95_ms": t.p95_ms}
+            name: {"mean_ms": t.mean_ms, "p50_ms": t.p50_ms, "p95_ms": t.p95_ms}
             for name, t in self.components.items()
         }
 
@@ -431,7 +447,8 @@ def latency_bench(
     candidate_retrieval (dense top-K), query_transform (one forward pass),
     association_scoring (gather + per-candidate dot products), and
     blend_rank; total covers the whole query. `warmup` full passes run
-    untimed, then every query is timed `reps` times.
+    untimed, then every query is timed `reps` times. Each stage reports the
+    mean, median and 95th percentile of its samples.
     """
     rerank._check_pool_inputs(passages, transformed, config)
     if queries.ndim != 2:
@@ -448,7 +465,7 @@ def latency_bench(
         t2 = time.perf_counter()
         assocs = rerank._association_readout(q, fq, rows, passages, transformed, config.mode)
         t3 = time.perf_counter()
-        rerank._blend_order(ScoredPool("", rows, sims, assocs), config.blend_lambda, config.cutoff)
+        rerank._blend_order(rows, sims, assocs, config.blend_lambda, config.cutoff)
         t4 = time.perf_counter()
         if record:
             sink["candidate_retrieval"].append(t1 - t0)
@@ -476,7 +493,8 @@ def latency_bench(
     stats = LatencyStats()
     for name, samples in sink.items():
         ms = np.asarray(samples, dtype=np.float64) * 1e3
+        p50, p95 = np.percentile(ms, [50, 95])
         stats.components[name] = ComponentTiming(
-            mean_ms=float(ms.mean()), p95_ms=float(np.percentile(ms, 95))
+            mean_ms=float(ms.mean()), p50_ms=float(p50), p95_ms=float(p95)
         )
     return stats

@@ -117,15 +117,16 @@ def _association_readout(
 
 
 def _blend_order(
-    scored: ScoredPool, blend_lambda: float, cutoff: int
+    rows: np.ndarray, sims: np.ndarray, assocs: np.ndarray, blend_lambda: float, cutoff: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pool positions of the blended top-`cutoff`, and the blended scores.
 
-    Blends (1 - lambda) * sim + lambda * assoc; ties in the blended score
-    break toward the lower passage row, matching dense retrieval.
+    Works along the last axis, so one call ranks one pool or a (Q, K) stack
+    of them. Blends (1 - lambda) * sim + lambda * assoc; ties in the blended
+    score break toward the lower passage row, matching dense retrieval.
     """
-    blended = (1.0 - blend_lambda) * scored.sims + blend_lambda * scored.assocs
-    return np.lexsort((scored.rows, -blended))[:cutoff], blended
+    blended = (1.0 - blend_lambda) * sims + blend_lambda * assocs
+    return np.lexsort((rows, -blended))[..., :cutoff], blended
 
 
 def score_pool(
@@ -150,7 +151,7 @@ def score_pool(
 
 def rank_rows(scored: ScoredPool, blend_lambda: float, cutoff: int) -> np.ndarray:
     """Row indices of the blended top-`cutoff`, reusing precomputed scores."""
-    order, _ = _blend_order(scored, blend_lambda, cutoff)
+    order, _ = _blend_order(scored.rows, scored.sims, scored.assocs, blend_lambda, cutoff)
     return scored.rows[order]
 
 
@@ -164,7 +165,9 @@ def rerank_query(
 ) -> RerankResult:
     """Full per-query pipeline: dense pool, association scores, blend."""
     scored = score_pool(query_id, query, passages, transformed, model, config)
-    order, blended = _blend_order(scored, config.blend_lambda, config.cutoff)
+    order, blended = _blend_order(
+        scored.rows, scored.sims, scored.assocs, config.blend_lambda, config.cutoff
+    )
     entries = [
         RankedCandidate(
             int(scored.rows[i]),

@@ -507,16 +507,18 @@ class TestAcceptance:
         required = {"candidate_retrieval", "association_scoring", "total"}
         keys_ok = all(
             required <= set(stats)
-            and all({"mean_ms", "p95_ms"} <= set(stats[name]) for name in required)
+            and all({"mean_ms", "p50_ms", "p95_ms"} <= set(stats[name]) for name in required)
             for stats in payload["depths"].values()
         )
-        k100 = payload["depths"]["100"]["association_scoring"]["mean_ms"]
-        k200 = payload["depths"]["200"]["association_scoring"]["mean_ms"]
+        # medians: one scheduler pause among the ~0.2 ms samples moves a mean
+        # out of bounds, but not a median
+        k100 = payload["depths"]["100"]["association_scoring"]["p50_ms"]
+        k200 = payload["depths"]["200"]["association_scoring"]["p50_ms"]
         ratio = k200 / k100
         ok = keys_ok and 1.5 <= ratio <= 3.0
         verdict(
             "criterion 13",
             ok,
-            f"association scoring {k100:.3f}ms at depth 100, {k200:.3f}ms at depth 200, "
+            f"association scoring median {k100:.3f}ms at depth 100, {k200:.3f}ms at depth 200, "
             f"ratio {ratio:.2f} (bounds [1.5, 3.0]); stage stats complete: {keys_ok}",
         )

@@ -33,6 +33,7 @@ OUTPUTS = {
     "rerank": ["rerank.out"],
     "pairs": ["pairs"],
     "eval": ["eval.out"],
+    "sweep": ["sweep.lambda_out", "sweep.depth_out"],
 }
 
 
@@ -234,7 +235,7 @@ class TestPipeline:
                 "total",
             }
             for timing in stats.values():
-                assert set(timing) == {"mean_ms", "p95_ms"}
+                assert set(timing) == {"mean_ms", "p50_ms", "p95_ms"}
 
     def test_lambda_zero_eval_equals_baseline(self, pipeline, tmp_path):
         _, cfg, config_path = pipeline
@@ -351,6 +352,11 @@ BAD_CONFIG_VALUES = [
     ("synth", "synth.n_pasages=10", "unknown config key 'synth.n_pasages'"),
     ("pairs", "pairs.split_mode=1", "pairs.split_mode: expected str, got 1"),
     ("eval", 'eval.ks=[5, "x"]', 'eval.ks[1]: expected int, got "x"'),
+    ("eval", "eval.ks=[]", "eval.ks must be a non-empty list of ks >= 1, got []"),
+    ("eval", "eval.ks=[5, 0]", "eval.ks must be a non-empty list of ks >= 1, got [5, 0]"),
+    ("sweep", "sweep.ks=[5, 500]", "sweep.ks [5, 500] exceed rerank.pool_depth 50"),
+    ("sweep", "sweep.ks=[]", "sweep.ks must be a non-empty list of ks >= 1, got []"),
+    ("sweep", "sweep.ks=[0, 5]", "sweep.ks must be a non-empty list of ks >= 1, got [0, 5]"),
 ]
 
 

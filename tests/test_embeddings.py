@@ -16,7 +16,6 @@ from assocrank.embeddings import (
     EmbeddingMatrix,
     FormatError,
     _row_norms,
-    l2_normalize_rows,
     load_matrix,
     save_matrix,
 )
@@ -80,39 +79,6 @@ class TestMatrixBasics:
         m = EmbeddingMatrix(ids=["a", "b", "c"], data=data)
         assert m.data.dtype == np.float32
         assert m.data.flags["C_CONTIGUOUS"]
-
-
-class TestNormalize:
-    def test_rows_become_unit_norm(self):
-        rng = np.random.default_rng(10)
-        m = random_matrix(rng, 50, 16)
-        normed = l2_normalize_rows(m)
-        norms = np.linalg.norm(normed.data.astype(np.float64), axis=1)
-        assert np.abs(norms - 1.0).max() < 1e-6
-        assert normed.normalized
-
-    def test_directions_preserved(self):
-        rng = np.random.default_rng(11)
-        m = random_matrix(rng, 20, 8)
-        normed = l2_normalize_rows(m)
-        # cosine between original and normalized row is 1
-        dots = (m.data * normed.data).sum(axis=1)
-        lens = np.linalg.norm(m.data, axis=1)
-        assert np.abs(dots / lens - 1.0).max() < 1e-6
-
-    def test_zero_row_error_names_id(self):
-        data = np.ones((3, 4), dtype=np.float32)
-        data[1] = 0.0
-        m = EmbeddingMatrix(ids=["a", "b", "c"], data=data)
-        with pytest.raises(ValueError, match="'b'"):
-            l2_normalize_rows(m)
-
-    def test_source_unmodified(self):
-        rng = np.random.default_rng(12)
-        m = random_matrix(rng, 5, 4)
-        before = m.data.copy()
-        l2_normalize_rows(m)
-        assert np.array_equal(m.data, before)
 
 
 class TestContainerFormat:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from assocrank.embeddings import EmbeddingMatrix, l2_normalize_rows
+from assocrank import evaluation
+from assocrank.embeddings import EmbeddingMatrix
 from assocrank.evaluation import (
     ComponentTiming,
     LatencyStats,
@@ -24,7 +25,13 @@ from assocrank.evaluation import (
 )
 from assocrank.model import AssocModel, transform_matrix
 from assocrank.pairs import QuestionRecord
-from assocrank.rerank import RerankConfig, ScoredPool, score_pool
+from assocrank.rerank import RerankConfig, ScoredPool, rank_rows, score_pool
+
+
+def unit_rows(data):
+    """float32 rows scaled to unit L2 norm by their float64 norms."""
+    norms = np.linalg.norm(data.astype(np.float64), axis=1, keepdims=True)
+    return data / norms.astype(np.float32)
 
 
 def record(qid, gold, split="validation", answer="x", text=""):
@@ -268,6 +275,34 @@ class TestEvaluateSystem:
         plain = evaluate_system("dense", baseline, records, ks=(5,))
         assert plain.coverage_at is None
 
+    def test_coverage_normalizes_each_text_once(self, monkeypatch):
+        # coverage at every k equals coverage_at_k's, and a question
+        # normalizes its answer and at most its top max(ks) texts once each
+        rng = np.random.default_rng(14)
+        vocab = ["alpha", "beta", "gamma", "delta", "the"]
+        texts = {f"p{i}": " ".join(rng.choice(vocab, size=3)) for i in range(30)}
+        records, rankings = [], {}
+        for qi in range(40):
+            records.append(record(f"q{qi}", ["p0"], answer=" ".join(rng.choice(vocab[:4], size=2))))
+            rankings[f"q{qi}"] = [f"p{i}" for i in rng.permutation(30)]
+        ks = (1, 2, 5, 8)
+        want = {
+            k: sum(
+                coverage_at_k([texts[p] for p in rankings[r.question_id]], r.gold_answer, k)
+                for r in records
+            )
+            / len(records)
+            for k in ks
+        }
+        calls = []
+        real = evaluation.qa_normalize
+        monkeypatch.setattr(evaluation, "qa_normalize", lambda t: calls.append(t) or real(t))
+        ev = evaluate_system("dense", rankings, records, ks=ks, texts=texts)
+        assert ev.coverage_at == want
+        assert 0 < len(calls) <= len(records) * (1 + max(ks))
+        with pytest.raises(ValueError, match="empty string"):
+            evaluate_system("dense", rankings, [record("q0", ["p0"], answer="the")], ks, texts)
+
     def test_missing_ranking_and_empty_records(self):
         records, baseline, _ = rankings_fixture()
         with pytest.raises(ValueError, match="no records"):
@@ -355,7 +390,9 @@ class TestLambdaSweep:
     def test_identity_model_rows_all_equal_baseline(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(60, 16)).astype(np.float32)
-        passages = l2_normalize_rows(EmbeddingMatrix(ids=[f"p{i}" for i in range(60)], data=data))
+        passages = EmbeddingMatrix(
+            ids=[f"p{i}" for i in range(60)], data=unit_rows(data), normalized=True
+        )
         model = AssocModel.initialize(16, seed=0)
         model.alpha_raw[:] = 20.0
         transformed = transform_matrix(model, passages)
@@ -433,6 +470,151 @@ class TestPoolDepthSweep:
             pool_depth_sweep(pools, ids, records, [0], 0.5, ks=(5,))
 
 
+def reference_lambda_sweep(pools, ids, records, lambdas, ks):
+    """The per-pool lambda sweep, one `rank_rows` and `recall_at_k` call per
+    query and setting: the oracle for the array version."""
+    by_qid = {rec.question_id: rec for rec in records}
+    rows = []
+    for lam in lambdas:
+        rankings = {}
+        for pool in pools:
+            ranked = rank_rows(pool, lam, max(ks))
+            rankings[pool.query_id] = [ids[r] for r in ranked]
+        row = {"lambda": lam}
+        for k in ks:
+            row[f"recall_at_{k}"] = float(
+                np.mean(
+                    [recall_at_k(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
+                )
+            )
+        rows.append(row)
+    return rows
+
+
+def reference_pool_depth_sweep(pools, ids, records, depths, blend_lambda, ks):
+    """The per-pool depth sweep over truncated pool copies: the oracle for the
+    array version."""
+    by_qid = {rec.question_id: rec for rec in records}
+    rows = []
+    for depth in depths:
+        rankings = {}
+        containment = []
+        for pool in pools:
+            truncated = ScoredPool(
+                query_id=pool.query_id,
+                rows=pool.rows[:depth],
+                sims=pool.sims[:depth],
+                assocs=pool.assocs[:depth],
+            )
+            ranked = rank_rows(truncated, blend_lambda, min(max(ks), depth))
+            rankings[pool.query_id] = [ids[r] for r in ranked]
+            gold = set(by_qid[pool.query_id].gold_passage_ids)
+            inside = len(gold & {ids[r] for r in truncated.rows}) / len(gold)
+            containment.append(inside)
+        row = {"depth": depth, "gold_in_pool": float(np.mean(containment))}
+        for k in ks:
+            row[f"recall_at_{k}"] = float(
+                np.mean(
+                    [recall_at_k(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
+                )
+            )
+        rows.append(row)
+    return rows
+
+
+def tied_world(seed, n_queries=40, depth=25, n_ids=120):
+    """Pools whose integer-valued sims and assocs make blended ties common,
+    with gold inside, outside and on the last row of the pools, gold ids
+    outside the corpus and repeated gold ids."""
+    rng = np.random.default_rng(seed)
+    ids = [f"p{i}" for i in range(n_ids)]
+    pools, records = [], []
+    for qi in range(n_queries):
+        rows = rng.permutation(n_ids)[:depth]
+        sims = np.sort(rng.integers(0, 4, size=depth).astype(np.float32))[::-1]
+        assocs = rng.integers(-3, 4, size=depth).astype(np.float32)
+        pools.append(scored_pool(f"q{qi}", rows, sims, assocs))
+        gold = [ids[r] for r in rng.choice(n_ids, size=int(rng.integers(1, 4)), replace=False)]
+        if qi % 3 == 0:
+            gold[0] = ids[rows[-1]]
+        if qi % 7 == 0:
+            gold.append("absent")  # a gold id outside the corpus
+        if qi % 5 == 0:
+            gold.append(gold[0])  # a repeated gold id counts once
+        records.append(record(f"q{qi}", gold))
+    return pools, ids, records
+
+
+class TestArraySweepsMatchPerPoolLoops:
+    LAMBDAS = [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]
+    DEPTHS = [1, 2, 5, 9, 24, 25]
+    KS = (1, 3, 5, 10, 20, 30)
+
+    def test_tied_pools_equal_reference_rows(self):
+        for seed in range(5):
+            pools, ids, records = tied_world(seed)
+            assert any(len(set(p.sims.tolist())) < len(p.sims) for p in pools)
+            lam_rows = lambda_sweep(pools, ids, records, self.LAMBDAS, self.KS)
+            assert lam_rows == reference_lambda_sweep(pools, ids, records, self.LAMBDAS, self.KS)
+            for blend_lambda in (0.0, 0.5, 1.0):
+                got = pool_depth_sweep(pools, ids, records, self.DEPTHS, blend_lambda, self.KS)
+                want = reference_pool_depth_sweep(
+                    pools, ids, records, self.DEPTHS, blend_lambda, self.KS
+                )
+                assert got == want, (seed, blend_lambda)
+
+    def test_gold_on_last_row_counts_only_at_full_depth(self):
+        pools, ids, records = tied_world(7, n_queries=1)
+        records = [record("q0", [ids[pools[0].rows[-1]]])]
+        got = pool_depth_sweep(pools, ids, records, [24, 25], 1.0, (25,))
+        assert [row["gold_in_pool"] for row in got] == [0.0, 1.0]
+        assert got == reference_pool_depth_sweep(pools, ids, records, [24, 25], 1.0, (25,))
+
+    def test_scored_pools_equal_reference_rows(self):
+        rng = np.random.default_rng(13)
+        model, passages, transformed, _ = tiny_pipeline(rng, n=200, d=12)
+        config = RerankConfig(pool_depth=30, cutoff=5)
+        pools, records = [], []
+        for qi in range(25):
+            q = rng.normal(size=12).astype(np.float32)
+            pools.append(score_pool(f"q{qi}", q, passages, transformed, model, config))
+            gold = rng.choice(200, size=2, replace=False)
+            records.append(record(f"q{qi}", [passages.ids[r] for r in gold]))
+        ids = passages.ids
+        assert lambda_sweep(pools, ids, records, self.LAMBDAS, self.KS) == reference_lambda_sweep(
+            pools, ids, records, self.LAMBDAS, self.KS
+        )
+        depths = [1, 4, 10, 30]
+        assert pool_depth_sweep(pools, ids, records, depths, 0.5, self.KS) == (
+            reference_pool_depth_sweep(pools, ids, records, depths, 0.5, self.KS)
+        )
+
+    def test_unequal_depths_rejected(self):
+        pools, ids, records = tied_world(8, n_queries=3)
+        short = pools[1]
+        pools[1] = scored_pool("q1", short.rows[:20], short.sims[:20], short.assocs[:20])
+        with pytest.raises(ValueError, match=r"depths \[20, 25\]"):
+            lambda_sweep(pools, ids, records, [0.5], ks=(5,))
+        with pytest.raises(ValueError, match=r"depths \[20, 25\]"):
+            pool_depth_sweep(pools, ids, records, [5], 0.5, ks=(5,))
+
+    def test_k_below_one_rejected(self):
+        pools, ids, records = tied_world(9, n_queries=3)
+        for ks in ((0,), (5, 0), (-1, 5)):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lambda_sweep(pools, ids, records, [0.5], ks=ks)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                pool_depth_sweep(pools, ids, records, [5], 0.5, ks=ks)
+
+    def test_empty_gold_set_rejected(self):
+        pools, ids, records = tied_world(10, n_queries=3)
+        records[2] = record("q2", [])
+        with pytest.raises(ValueError, match="empty gold set"):
+            lambda_sweep(pools, ids, records, [0.5], ks=(5,))
+        with pytest.raises(ValueError, match="empty gold set"):
+            pool_depth_sweep(pools, ids, records, [5], 0.5, ks=(5,))
+
+
 class TestRankMovement:
     def test_identical_reports_move_nothing(self):
         records, baseline, _ = rankings_fixture()
@@ -494,7 +676,9 @@ class TestRankMovement:
 def tiny_pipeline(rng, n=80, d=12):
     """(model, passages, transformed, config), the leading latency_bench arguments."""
     data = rng.normal(size=(n, d)).astype(np.float32)
-    passages = l2_normalize_rows(EmbeddingMatrix(ids=[f"p{i}" for i in range(n)], data=data))
+    passages = EmbeddingMatrix(
+        ids=[f"p{i}" for i in range(n)], data=unit_rows(data), normalized=True
+    )
     model = AssocModel.initialize(d, seed=0)
     transformed = transform_matrix(model, passages)
     cfg = RerankConfig(pool_depth=10, cutoff=5)
@@ -531,6 +715,7 @@ class TestLatencyBench:
         stats = latency_bench(*pipe, q, warmup=0, reps=1)
         t = stats.components["total"]
         assert t.mean_ms == pytest.approx(t.p95_ms)
+        assert t.mean_ms == pytest.approx(t.p50_ms)
 
     def test_validation(self):
         rng = np.random.default_rng(12)
@@ -550,5 +735,5 @@ class TestLatencyBench:
             latency_bench(model, passages, transformed, RerankConfig(pool_depth=10, cutoff=5), q)
 
     def test_json_shape(self):
-        stats = LatencyStats(components={"total": ComponentTiming(1.5, 2.5)})
-        assert stats.to_json_dict() == {"total": {"mean_ms": 1.5, "p95_ms": 2.5}}
+        stats = LatencyStats(components={"total": ComponentTiming(1.5, 2.0, 2.5)})
+        assert stats.to_json_dict() == {"total": {"mean_ms": 1.5, "p50_ms": 2.0, "p95_ms": 2.5}}

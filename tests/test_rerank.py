@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from assocrank.embeddings import EmbeddingMatrix, l2_normalize_rows
+from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, forward, transform_matrix
 from assocrank.rerank import (
     SCORING_MODES,
@@ -27,14 +27,19 @@ def pool_of(rows, sims, assocs):
 
 
 def blend_rows(pool, blend_lambda, cutoff):
-    order, blended = _blend_order(pool, blend_lambda, cutoff)
+    order, blended = _blend_order(pool.rows, pool.sims, pool.assocs, blend_lambda, cutoff)
     return pool.rows[order].tolist(), blended[order].tolist()
 
 
+def unit_rows(data):
+    """float32 rows scaled to unit L2 norm by their float64 norms."""
+    norms = np.linalg.norm(data.astype(np.float64), axis=1, keepdims=True)
+    return data / norms.astype(np.float32)
+
+
 def unit_corpus(rng, n, d, prefix="p"):
-    data = rng.normal(size=(n, d)).astype(np.float32)
-    m = EmbeddingMatrix(ids=[f"{prefix}{i:04d}" for i in range(n)], data=data)
-    return l2_normalize_rows(m)
+    data = unit_rows(rng.normal(size=(n, d)).astype(np.float32))
+    return EmbeddingMatrix(ids=[f"{prefix}{i:04d}" for i in range(n)], data=data, normalized=True)
 
 
 def pipeline_parts(rng, n=300, d=24, model_seed=0, perturb=True):
