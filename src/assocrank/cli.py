@@ -70,21 +70,13 @@ def require(cfg: dict, key: str) -> str:
     return _check(key, cfg[key], "str")
 
 
-_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
 def _check(key: str, value, kind: str):
-    """`value` as the annotated type `kind` ("int", "float", "str", "int | None",
-    "list[float]", ...), or a config error naming `key`. An int is a JSON
-    integer only (not true, 60.9 or "60"); a float is any JSON number."""
-    if kind.startswith("list[") and isinstance(value, list):
-        return [_check(f"{key}[{i}]", item, kind[5:-1]) for i, item in enumerate(value)]
-    if value is None and kind.endswith(" | None"):
-        return None
-    base = kind.removesuffix(" | None")
-    if isinstance(value, _SCALAR_TYPES.get(base, ())) and not isinstance(value, bool):
-        return float(value) if base == "float" else value
-    raise CliError(f"{key}: expected {kind}, got {json.dumps(value)}")
+    """`value` checked as the annotated type `kind` by `pairs.check_type`; a
+    mismatch is a config error naming `key`."""
+    try:
+        return pairs_mod.check_type(key, value, kind)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _typed(cfg: dict, key: str, kind: str, default):
@@ -242,9 +234,10 @@ def cmd_rerank(cfg: dict) -> int:
     return 0
 
 
-def _scored_queries(cfg: dict, ks_key: str):
+def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None):
     """(passages, config, ks, pools, records): the loaded pipeline, the ks set
-    by `ks_key`, one scored pool per query, and those queries' records."""
+    by `ks_key` (which must include `required_k`, if given), one scored pool
+    per query, and those queries' records."""
     passages, queries, model, transformed, config = _load_pipeline(cfg)
     records = pairs_mod.load_records(require(cfg, "records"))
     known = {rec.question_id for rec in records}
@@ -256,6 +249,8 @@ def _scored_queries(cfg: dict, ks_key: str):
         raise CliError(f"{ks_key} must be a non-empty list of ks >= 1, got {list(ks)}")
     if max(ks) > config.pool_depth:
         raise CliError(f"{ks_key} {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
+    if required_k is not None and required_k not in ks:
+        raise CliError(f"{ks_key} {list(ks)} must include the hit cutoff {required_k}")
     pools = [
         rerank_mod.score_pool(qid, queries.data[i], passages, transformed, model, config)
         for i, qid in enumerate(queries.ids)
@@ -266,7 +261,7 @@ def _scored_queries(cfg: dict, ks_key: str):
 
 def cmd_eval(cfg: dict) -> int:
     started = time.perf_counter()
-    passages, config, ks, pools, records = _scored_queries(cfg, "eval.ks")
+    passages, config, ks, pools, records = _scored_queries(cfg, "eval.ks", evaluation.HIT_K)
     texts_path = _typed(cfg, "texts", "str", None)
     texts = pairs_mod.load_texts(texts_path) if texts_path is not None else None
 
@@ -300,9 +295,9 @@ def cmd_eval(cfg: dict) -> int:
     print(
         json.dumps(
             {
-                "dense_r5": baseline.recall_at[5],
-                "rerank_r5": reranked.recall_at[5],
-                "delta_r5": report.deltas[5]["delta"],
+                "dense_r5": baseline.recall_at[evaluation.HIT_K],
+                "rerank_r5": reranked.recall_at[evaluation.HIT_K],
+                "delta_r5": report.deltas[evaluation.HIT_K]["delta"],
             },
             sort_keys=True,
         )
@@ -336,27 +331,24 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    base = _rerank_config(cfg)
-    passages, queries, model = _load_inputs(cfg)
+    config = _rerank_config(cfg)
     depths = _typed(cfg, "bench.pool_depths", "list[int]", [100, 200])
+    if not depths or min(depths) < 1:
+        raise CliError(f"bench.pool_depths must be a non-empty list of depths >= 1, got {depths}")
+    passages, queries, model = _load_inputs(cfg)
+    if max(depths) > passages.rows:
+        raise CliError(f"bench depth {max(depths)} exceeds corpus size {passages.rows}")
     n_queries = _typed(cfg, "bench.n_queries", "int", min(32, queries.rows))
     if not 1 <= n_queries <= queries.rows:
         raise CliError(f"bench.n_queries {n_queries} out of range for {queries.rows} queries")
     warmup = _typed(cfg, "bench.warmup", "int", 2)
     reps = _typed(cfg, "bench.reps", "int", 3)
     transformed = transform_matrix(model, passages, source=require(cfg, "passages"))
-    qs = queries.data[:n_queries]
-    results = {}
-    for depth in depths:
-        if depth > passages.rows:
-            raise CliError(f"bench depth {depth} exceeds corpus size {passages.rows}")
-        config = dataclasses.replace(base, pool_depth=depth, cutoff=min(base.cutoff, depth))
-        stats = evaluation.latency_bench(
-            model, passages, transformed, config, qs, warmup=warmup, reps=reps
-        )
-        results[str(depth)] = stats.to_json_dict()
+    stats = evaluation.latency_bench(
+        model, passages, transformed, config, queries.data[:n_queries], depths, warmup, reps
+    )
     payload = {
-        "depths": results,
+        "depths": {str(depth): s.to_json_dict() for depth, s in stats.items()},
         "n_queries": n_queries,
         "reps": reps,
         "warmup": warmup,

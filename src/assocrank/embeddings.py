@@ -188,15 +188,11 @@ def _row_norms(data: np.ndarray) -> np.ndarray:
     return norms
 
 
-def load_matrix(
-    path: str,
-    expect_dim: int | None = None,
-    validate_norms: bool = True,
-) -> EmbeddingMatrix:
+def load_matrix(path: str, expect_dim: int | None = None) -> EmbeddingMatrix:
     """Load a matrix written by save_matrix.
 
-    expect_dim, when given, pins the dimensionality. validate_norms checks
-    unit norms (tolerance 1e-4) for files that claim normalized rows.
+    expect_dim, when given, pins the dimensionality. A file that claims
+    normalized rows has its unit norms checked (tolerance 1e-4).
     """
     with open(path, "rb") as fh:
         read = _exact_reader(fh)
@@ -230,7 +226,7 @@ def load_matrix(
         matrix = EmbeddingMatrix(ids=ids, data=data, normalized=bool(norm_flag))
     except ValueError as exc:  # duplicate ids
         raise FormatError(str(exc)) from None
-    if matrix.normalized and validate_norms and n > 0:
+    if matrix.normalized and n > 0:
         norms = _row_norms(data)
         worst = int(np.argmax(np.abs(norms - 1.0)))
         if abs(norms[worst] - 1.0) > NORM_TOLERANCE:

@@ -22,6 +22,8 @@ from assocrank.pairs import QuestionRecord
 from assocrank.rerank import RerankConfig, ScoredPool
 
 DEFAULT_KS = (5, 10, 20)
+# the hit cutoff: a question is a hit when all its gold is in the top HIT_K
+HIT_K = 5
 
 _ARTICLES = {"a", "an", "the"}
 _PUNCT = re.compile(r"[^\w\s]")
@@ -172,8 +174,9 @@ def evaluate_system(
 
 
 def easy_hard_split(baseline: SystemEval) -> tuple[set[str], set[str]]:
-    """Easy questions are fully solved by the baseline at k=5 (R@5 == 1)."""
-    easy = {qid for qid, qr in baseline.questions.items() if qr.recall.get(5) == 1.0}
+    """Easy questions are fully solved by the baseline at the hit cutoff
+    (R@HIT_K == 1)."""
+    easy = {qid for qid, qr in baseline.questions.items() if qr.recall[HIT_K] == 1.0}
     hard = set(baseline.questions) - easy
     return easy, hard
 
@@ -224,9 +227,12 @@ def compare_systems(
     resamples: int = 10000,
     seed: int = 0,
 ) -> EvalReport:
-    """Paired comparison with bootstrap CIs and the easy/hard breakdown."""
+    """Paired comparison with bootstrap CIs and the easy/hard breakdown at
+    the hit cutoff, which `ks` must include."""
     if set(baseline.questions) != set(reranked.questions):
         raise ValueError("systems evaluated on different question sets")
+    if HIT_K not in ks:
+        raise ValueError(f"ks {list(ks)} must include the hit cutoff {HIT_K}")
     qids = sorted(baseline.questions)
     deltas: dict[int, dict[str, float]] = {}
     for k in ks:
@@ -241,8 +247,8 @@ def compare_systems(
     def subset_stats(ids: set[str]) -> dict[str, float]:
         if not ids:
             return {"n": 0, "baseline_r5": float("nan"), "reranked_r5": float("nan"), "delta": float("nan")}
-        base = float(np.mean([baseline.questions[q].recall[5] for q in ids]))
-        rr = float(np.mean([reranked.questions[q].recall[5] for q in ids]))
+        base = float(np.mean([baseline.questions[q].recall[HIT_K] for q in ids]))
+        rr = float(np.mean([reranked.questions[q].recall[HIT_K] for q in ids]))
         return {"n": len(ids), "baseline_r5": base, "reranked_r5": rr, "delta": rr - base}
 
     return EvalReport(
@@ -372,21 +378,23 @@ def rank_movement_report(
     baseline: SystemEval,
     reranked: SystemEval,
     pool_depth: int,
-    k: int = 5,
 ) -> MovementReport:
-    """Classify questions by hit (all gold in top k) transitions, with gold
-    rank tables for the rescued set and the fraction of persistent misses
-    explained by gold falling outside the candidate pool."""
+    """Classify questions by hit (all gold in the top HIT_K) transitions, with
+    gold rank tables for the rescued set and the fraction of persistent
+    misses explained by gold falling outside the candidate pool."""
     if set(baseline.questions) != set(reranked.questions):
         raise ValueError("systems evaluated on different question sets")
+    for ev in (baseline, reranked):
+        if HIT_K not in ev.recall_at:
+            raise ValueError(f"system {ev.system!r} has no recall@{HIT_K}, the hit cutoff")
     rescued, regressed, kept, missed = [], [], [], []
     rescued_ranks: dict[str, dict[str, list[int | None]]] = {}
     outside = 0
     for qid in sorted(baseline.questions):
         b = baseline.questions[qid]
         r = reranked.questions[qid]
-        b_hit = b.recall.get(k) == 1.0
-        r_hit = r.recall.get(k) == 1.0
+        b_hit = b.recall[HIT_K] == 1.0
+        r_hit = r.recall[HIT_K] == 1.0
         if not b_hit and r_hit:
             rescued.append(qid)
             rescued_ranks[qid] = {
@@ -414,6 +422,9 @@ def rank_movement_report(
     )
 
 
+_STAGES = ("candidate_retrieval", "query_transform", "association_scoring", "blend_rank", "total")
+
+
 @dataclass
 class ComponentTiming:
     mean_ms: float
@@ -438,63 +449,54 @@ def latency_bench(
     transformed: TransformedMatrix,
     config: RerankConfig,
     queries: np.ndarray,
+    depths: list[int],
     warmup: int = 2,
     reps: int = 3,
-) -> LatencyStats:
-    """Per-query wall time by pipeline stage, monotonic clock.
+) -> dict[int, LatencyStats]:
+    """Per-query wall time by pipeline stage at each pool depth, monotonic clock.
 
-    Times the functions `rerank.score_pool` is built from. Stages:
+    Each depth runs `config` with that pool depth and a cutoff of at most the
+    depth. Times the functions `rerank.score_pool` is built from. Stages:
     candidate_retrieval (dense top-K), query_transform (one forward pass),
     association_scoring (gather + per-candidate dot products), and
     blend_rank; total covers the whole query. `warmup` full passes run
-    untimed, then every query is timed `reps` times. Each stage reports the
-    mean, median and 95th percentile of its samples.
+    untimed, then every query is timed `reps` times. Each query runs at every
+    depth back to back, so a slow or quick spell of the machine falls on all
+    depths alike. Each stage reports the mean, median and 95th percentile of
+    its samples at each depth.
     """
     rerank._check_pool_inputs(passages, transformed, config)
+    if not depths or min(depths) < 1:
+        raise ValueError(f"depths must be a non-empty list of depths >= 1, got {depths}")
     if queries.ndim != 2:
         raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
     if warmup < 0 or reps < 1:
         raise ValueError("warmup must be >= 0 and reps >= 1")
     qs = np.ascontiguousarray(queries, dtype=np.float32)
-
-    def run_once(q, record, sink):
-        t0 = time.perf_counter()
-        rows, sims = rerank.top_k(q, passages, config.pool_depth)
-        t1 = time.perf_counter()
-        fq = rerank.forward(model, q, degenerate="zero")
-        t2 = time.perf_counter()
-        assocs = rerank._association_readout(q, fq, rows, passages, transformed, config.mode)
-        t3 = time.perf_counter()
-        rerank._blend_order(rows, sims, assocs, config.blend_lambda, config.cutoff)
-        t4 = time.perf_counter()
-        if record:
-            sink["candidate_retrieval"].append(t1 - t0)
-            sink["query_transform"].append(t2 - t1)
-            sink["association_scoring"].append(t3 - t2)
-            sink["blend_rank"].append(t4 - t3)
-            sink["total"].append(t4 - t0)
-
-    sink = {
-        name: []
-        for name in (
-            "candidate_retrieval",
-            "query_transform",
-            "association_scoring",
-            "blend_rank",
-            "total",
-        )
-    }
-    for _ in range(warmup):
+    mode, blend_lambda, cutoff = config.mode, config.blend_lambda, config.cutoff
+    samples: dict[int, list[tuple[float, ...]]] = {depth: [] for depth in depths}
+    for rep in range(warmup + reps):
         for q in qs:
-            run_once(q, False, sink)
-    for _ in range(reps):
-        for q in qs:
-            run_once(q, True, sink)
-    stats = LatencyStats()
-    for name, samples in sink.items():
-        ms = np.asarray(samples, dtype=np.float64) * 1e3
-        p50, p95 = np.percentile(ms, [50, 95])
-        stats.components[name] = ComponentTiming(
-            mean_ms=float(ms.mean()), p50_ms=float(p50), p95_ms=float(p95)
+            for depth, sink in samples.items():
+                t0 = time.perf_counter()
+                rows, sims = rerank.top_k(q, passages, depth)
+                t1 = time.perf_counter()
+                fq = rerank.forward(model, q, degenerate="zero")
+                t2 = time.perf_counter()
+                assocs = rerank._association_readout(q, fq, rows, passages, transformed, mode)
+                t3 = time.perf_counter()
+                rerank._blend_order(rows, sims, assocs, blend_lambda, min(cutoff, depth))
+                t4 = time.perf_counter()
+                if rep >= warmup:
+                    sink.append((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t0))
+    out = {}
+    for depth, sink in samples.items():
+        ms = np.array(sink, dtype=np.float64) * 1e3
+        p50, p95 = np.percentile(ms, [50, 95], axis=0)
+        out[depth] = LatencyStats(
+            {
+                name: ComponentTiming(float(mean), float(mid), float(high))
+                for name, mean, mid, high in zip(_STAGES, ms.mean(axis=0), p50, p95)
+            }
         )
-    return stats
+    return out

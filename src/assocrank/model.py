@@ -249,32 +249,31 @@ class TransformedMatrix:
     data: np.ndarray
 
 
+_TRANSFORM_BLOCK = 1024
+
+
 def transform_matrix(
-    model: AssocModel,
-    matrix: EmbeddingMatrix,
-    source: str = "",
-    batch: int = 1024,
+    model: AssocModel, matrix: EmbeddingMatrix, source: str = ""
 ) -> TransformedMatrix:
     """Apply f to every row. Row order and ids match the source matrix.
 
-    Each block of `batch` rows is one forward_batch call, run on a thread
-    pool with one thread per usable CPU that BLAS leaves free (see
-    `_pool_size`). The bits depend on `batch` but not on the thread count.
-    The caller's numpy error state applies in every thread, and an error is
-    raised from the lowest failing block.
+    Each block of `_TRANSFORM_BLOCK` rows is one forward_batch call, run on a
+    thread pool with one thread per usable CPU that BLAS leaves free (see
+    `_pool_size`). The bits depend on the block size but not on the thread
+    count. The caller's numpy error state applies in every thread, and an
+    error is raised from the lowest failing block.
     """
     if matrix.dim != model.dim:
         raise ValueError(f"matrix dim {matrix.dim} does not match model dim {model.dim}")
     out = np.empty_like(matrix.data)
-    starts = range(0, matrix.rows, batch)
+    starts = range(0, matrix.rows, _TRANSFORM_BLOCK)
     context = contextvars.copy_context()
 
     def run_block(start: int) -> None:
+        rows = slice(start, start + _TRANSFORM_BLOCK)
         # a Context can be entered by one thread at a time, so each block gets a copy
-        block, _ = context.copy().run(
-            forward_batch, model, matrix.data[start : start + batch], degenerate="zero"
-        )
-        out[start : start + batch] = block
+        block, _ = context.copy().run(forward_batch, model, matrix.data[rows], degenerate="zero")
+        out[rows] = block
 
     with ThreadPoolExecutor(max_workers=_pool_size(len(starts))) as pool:
         for _ in pool.map(run_block, starts):

@@ -5,7 +5,8 @@ unordered co-occurrence pairs. Pairs are stored in first-seen order; the
 dedup key is the lexicographically sorted id tuple, so (a, b) and (b, a)
 collapse. Ablation constructors (label shuffling, similarity-matched
 positives) live here too, as do the readers and writers of pairs files and
-of the JSON-lines question records and passage texts.
+of the JSON-lines question records and passage texts, and `check_type`, which
+checks their fields and the CLI's config values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,37 +50,47 @@ class QuestionRecord:
         }
 
 
-def _json_objects(path: str):
-    """(lineno, object) for each non-blank line of a JSON-lines file. A line
-    that is not valid JSON or not a JSON object raises ValueError naming
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def check_type(where: str, value, kind: str):
+    """`value`, as parsed from JSON, checked as the annotated type `kind`
+    ("int", "float", "str", "int | None", "list[str]", ...) and returned. An
+    int is a JSON integer only (not true, 60.9 or "60"); a float is any JSON
+    number, returned as a float. A mismatch raises ValueError naming `where`
+    (with `[i]` for a list item), the type and at most 60 characters of the
+    value's JSON. Config keys and record and texts fields all go through it."""
+    if kind.startswith("list[") and isinstance(value, list):
+        return [check_type(f"{where}[{i}]", item, kind[5:-1]) for i, item in enumerate(value)]
+    if value is None and kind.endswith(" | None"):
+        return None
+    base = kind.removesuffix(" | None")
+    if isinstance(value, _SCALAR_TYPES.get(base, ())) and not isinstance(value, bool):
+        return float(value) if base == "float" else value
+    raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)[:60]}")
+
+
+def _json_objects(path: str, kinds: dict[str, str]):
+    """For each non-blank line of a JSON-lines file, its fields named in
+    `kinds`, each checked as its type by `check_type`. A line that is not
+    valid JSON, not a JSON object or missing a field raises ValueError naming
     path:lineno."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                raise ValueError(f"{where}: invalid JSON ({exc})") from None
             if not isinstance(raw, dict):
-                raise ValueError(f"{path}:{lineno}: not a JSON object")
-            yield lineno, raw
-
-
-def _str_field(raw: dict, name: str, where: str, as_list: bool = False):
-    """raw[name], which must be a string, or with `as_list` a list of strings.
-    A wrong type raises ValueError naming `where` and the field; a missing
-    field raises KeyError."""
-    value = raw[name]
-    if as_list:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    else:
-        ok = isinstance(value, str)
-    if not ok:
-        expected = "a list of strings" if as_list else "a string"
-        raise ValueError(f"{where}: {name}: expected {expected}, got {json.dumps(value)[:60]}")
-    return value
+                raise ValueError(f"{where}: not a JSON object")
+            missing = [name for name in kinds if name not in raw]
+            if missing:
+                raise ValueError(f"{where}: missing field {missing[0]!r}")
+            yield {name: check_type(f"{where}: {name}", raw[name], kinds[name]) for name in kinds}
 
 
 def _save_json_objects(objects, path: str) -> None:
@@ -87,20 +98,13 @@ def _save_json_objects(objects, path: str) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
+_RECORD_FIELDS = {f.name: f.type for f in fields(QuestionRecord)}
+
+
 def load_records(path: str) -> list[QuestionRecord]:
     records = []
-    for lineno, raw in _json_objects(path):
-        where = f"{path}:{lineno}"
-        try:
-            rec = QuestionRecord(
-                question_id=_str_field(raw, "question_id", where),
-                question_text=_str_field(raw, "question_text", where),
-                gold_passage_ids=_str_field(raw, "gold_passage_ids", where, as_list=True),
-                gold_answer=_str_field(raw, "gold_answer", where),
-                split=_str_field(raw, "split", where),
-            )
-        except KeyError as exc:
-            raise ValueError(f"{where}: missing field {exc}") from None
+    for values in _json_objects(path, _RECORD_FIELDS):
+        rec = QuestionRecord(**values)
         rec.validate()
         records.append(rec)
     return records
@@ -112,13 +116,8 @@ def save_records(records: list[QuestionRecord], path: str) -> None:
 
 def load_texts(path: str) -> dict[str, str]:
     """Passage id -> text from a JSON-lines file written by save_texts."""
-    texts: dict[str, str] = {}
-    for lineno, raw in _json_objects(path):
-        if "passage_id" not in raw or "text" not in raw:
-            raise ValueError(f"{path}:{lineno}: texts need passage_id and text fields")
-        where = f"{path}:{lineno}"
-        texts[_str_field(raw, "passage_id", where)] = _str_field(raw, "text", where)
-    return texts
+    lines = _json_objects(path, {"passage_id": "str", "text": "str"})
+    return {values["passage_id"]: values["text"] for values in lines}
 
 
 def save_texts(texts: dict[str, str], path: str) -> None:

@@ -34,6 +34,7 @@ OUTPUTS = {
     "pairs": ["pairs"],
     "eval": ["eval.out"],
     "sweep": ["sweep.lambda_out", "sweep.depth_out"],
+    "bench": ["bench.out"],
 }
 
 
@@ -118,6 +119,9 @@ class TestConfigParsing:
             _check("k", 5, "list[int]")
         with pytest.raises(CliError, match="^k: expected str, got false$"):
             _check("k", False, "str")
+        with pytest.raises(CliError) as info:  # the echoed JSON stops at 60 characters
+            _check("k", list(range(100)), "str")
+        assert str(info.value) == "k: expected str, got " + json.dumps(list(range(100)))[:60]
 
     def test_bad_line_reports_lineno(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -135,8 +139,9 @@ class TestConfigParsing:
     def test_load_texts_validation(self, tmp_path):
         path = tmp_path / "texts.jsonl"
         path.write_text('{"passage_id": "p1", "text": "hi"}\n{"text": "no id"}\n')
-        with pytest.raises(ValueError, match=":2: texts need passage_id and text"):
+        with pytest.raises(ValueError) as info:
             load_texts(str(path))
+        assert str(info.value) == f"{path}:2: missing field 'passage_id'"
 
     def test_atomic_write_failure_leaves_no_debris(self, tmp_path):
         target = tmp_path / "out.json"
@@ -357,6 +362,16 @@ BAD_CONFIG_VALUES = [
     ("sweep", "sweep.ks=[5, 500]", "sweep.ks [5, 500] exceed rerank.pool_depth 50"),
     ("sweep", "sweep.ks=[]", "sweep.ks must be a non-empty list of ks >= 1, got []"),
     ("sweep", "sweep.ks=[0, 5]", "sweep.ks must be a non-empty list of ks >= 1, got [0, 5]"),
+    (
+        "bench",
+        "bench.pool_depths=[]",
+        "bench.pool_depths must be a non-empty list of depths >= 1, got []",
+    ),
+    (
+        "bench",
+        "bench.pool_depths=[20, 0]",
+        "bench.pool_depths must be a non-empty list of depths >= 1, got [20, 0]",
+    ),
 ]
 
 
@@ -425,6 +440,19 @@ class TestErrors:
         assert err == f"error: config: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    def test_eval_ks_without_the_hit_cutoff(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            pytest.fail("scored a pool")
+
+        monkeypatch.setattr(cli.rerank_mod, "score_pool", no_scoring)
+        _, _, config_path = pipeline
+        argv = ["eval", "--config", str(config_path), "--set", "eval.ks=[10]"]
+        argv += ["--set", f"eval.out={tmp_path / 'eval.json'}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, "")
+        assert err == "error: config: eval.ks [10] must include the hit cutoff 5\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize(
         "command, setting",
         [
@@ -456,9 +484,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "command, key, field, value, message",
         [
-            ("pairs", "records", "gold_passage_ids", 5, "expected a list of strings, got 5"),
-            ("eval", "records", "split", ["train"], 'expected a string, got ["train"]'),
-            ("eval", "texts", "passage_id", ["p"], 'expected a string, got ["p"]'),
+            ("pairs", "records", "gold_passage_ids", 5, "expected list[str], got 5"),
+            ("eval", "records", "split", ["train"], 'expected str, got ["train"]'),
+            ("eval", "texts", "passage_id", ["p"], 'expected str, got ["p"]'),
         ],
         ids=["pairs-records", "eval-records", "eval-texts"],
     )

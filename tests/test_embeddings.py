@@ -204,8 +204,6 @@ class TestLoadValidation:
         save_matrix(m, str(path))
         with pytest.raises(FormatError, match="'c'"):
             load_matrix(str(path))
-        back = load_matrix(str(path), validate_norms=False)
-        assert back.normalized
 
     def test_blocked_norms_equal_the_whole_matrix_norms(self):
         data = np.random.default_rng(31).normal(size=(9000, 7)).astype(np.float32)

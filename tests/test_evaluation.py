@@ -348,6 +348,14 @@ class TestEasyHardAndCompare:
         with pytest.raises(ValueError, match="different question sets"):
             compare_systems(b, r, ks=(5,))
 
+    def test_hit_cutoff_required(self):
+        assert evaluation.HIT_K == 5
+        records, baseline, reranked = rankings_fixture()
+        b = evaluate_system("dense", baseline, records, ks=(3,))
+        r = evaluate_system("rerank", reranked, records, ks=(3,))
+        with pytest.raises(ValueError, match=r"^ks \[3\] must include the hit cutoff 5$"):
+            compare_systems(b, r, ks=(3,))
+
 
 def scored_pool(qid, rows, sims, assocs):
     return ScoredPool(
@@ -619,7 +627,7 @@ class TestRankMovement:
     def test_identical_reports_move_nothing(self):
         records, baseline, _ = rankings_fixture()
         ev = evaluate_system("dense", baseline, records, ks=(5,))
-        report = rank_movement_report(ev, ev, pool_depth=5, k=5)
+        report = rank_movement_report(ev, ev, pool_depth=5)
         assert report.rescued == []
         assert report.regressed == []
 
@@ -627,7 +635,7 @@ class TestRankMovement:
         records, baseline, reranked = rankings_fixture()
         b = evaluate_system("dense", baseline, records, ks=(5,))
         r = evaluate_system("rerank", reranked, records, ks=(5,))
-        report = rank_movement_report(b, r, pool_depth=5, k=5)
+        report = rank_movement_report(b, r, pool_depth=5)
         total = (
             len(report.rescued)
             + len(report.regressed)
@@ -648,7 +656,7 @@ class TestRankMovement:
         records = [record("q1", [gold])]
         b = evaluate_system("dense", baseline, records, ks=(5,))
         r = evaluate_system("rerank", reranked, records, ks=(5,))
-        report = rank_movement_report(b, r, pool_depth=50, k=5)
+        report = rank_movement_report(b, r, pool_depth=50)
         assert report.rescued == ["q1"]
         assert report.rescued_gold_ranks["q1"][gold] == [50, 2]
 
@@ -659,7 +667,7 @@ class TestRankMovement:
             "q2": ["X1", "X2", "X3", "X4", "X5", "X6", "X7"],  # absent
         }
         ev = evaluate_system("dense", baseline, records, ks=(5,))
-        report = rank_movement_report(ev, ev, pool_depth=10, k=5)
+        report = rank_movement_report(ev, ev, pool_depth=10)
         assert sorted(report.unchanged_miss) == ["q1", "q2"]
         assert report.miss_outside_pool_fraction == 0.5
         payload = report.to_json_dict()
@@ -670,6 +678,13 @@ class TestRankMovement:
         b = evaluate_system("dense", baseline, records, ks=(5,))
         r = evaluate_system("rerank", {"q1": baseline["q1"]}, records[:1], ks=(5,))
         with pytest.raises(ValueError, match="different question sets"):
+            rank_movement_report(b, r, pool_depth=5)
+
+    def test_hit_cutoff_required(self):
+        records, baseline, reranked = rankings_fixture()
+        b = evaluate_system("dense", baseline, records, ks=(5,))
+        r = evaluate_system("rerank", reranked, records, ks=(3,))
+        with pytest.raises(ValueError, match="^system 'rerank' has no recall@5, the hit cutoff$"):
             rank_movement_report(b, r, pool_depth=5)
 
 
@@ -690,7 +705,7 @@ class TestLatencyBench:
         rng = np.random.default_rng(10)
         pipe = tiny_pipeline(rng)
         queries = rng.normal(size=(3, 12)).astype(np.float32)
-        stats = latency_bench(*pipe, queries, warmup=0, reps=1)
+        stats = latency_bench(*pipe, queries, [10], warmup=0, reps=1)[10]
         expected = {
             "candidate_retrieval",
             "query_transform",
@@ -712,7 +727,7 @@ class TestLatencyBench:
         rng = np.random.default_rng(11)
         pipe = tiny_pipeline(rng)
         q = rng.normal(size=(1, 12)).astype(np.float32)
-        stats = latency_bench(*pipe, q, warmup=0, reps=1)
+        stats = latency_bench(*pipe, q, [10], warmup=0, reps=1)[10]
         t = stats.components["total"]
         assert t.mean_ms == pytest.approx(t.p95_ms)
         assert t.mean_ms == pytest.approx(t.p50_ms)
@@ -721,18 +736,44 @@ class TestLatencyBench:
         rng = np.random.default_rng(12)
         pipe = tiny_pipeline(rng)
         with pytest.raises(ValueError, match="2-D"):
-            latency_bench(*pipe, np.zeros(12, dtype=np.float32))
+            latency_bench(*pipe, np.zeros(12, dtype=np.float32), [10])
         q = np.zeros((1, 12), dtype=np.float32)
         with pytest.raises(ValueError, match="warmup"):
-            latency_bench(*pipe, q, warmup=-1)
+            latency_bench(*pipe, q, [10], warmup=-1)
         with pytest.raises(ValueError, match="reps"):
-            latency_bench(*pipe, q, reps=0)
+            latency_bench(*pipe, q, [10], reps=0)
+        with pytest.raises(ValueError, match=r"^depths must be a non-empty list of depths >= 1"):
+            latency_bench(*pipe, q, [])
+        with pytest.raises(ValueError, match=r"depths >= 1, got \[10, 0\]$"):
+            latency_bench(*pipe, q, [10, 0])
         model, passages, transformed, _ = pipe
+        bad = RerankConfig(pool_depth=3, cutoff=5)
         with pytest.raises(ValueError, match="cutoff"):
-            latency_bench(model, passages, transformed, RerankConfig(pool_depth=3, cutoff=5), q)
+            latency_bench(model, passages, transformed, bad, q, [3])
         transformed.ids = transformed.ids[:-1]
+        good = RerankConfig(pool_depth=10, cutoff=5)
         with pytest.raises(ValueError, match="does not match"):
-            latency_bench(model, passages, transformed, RerankConfig(pool_depth=10, cutoff=5), q)
+            latency_bench(model, passages, transformed, good, q, [10])
+
+    def test_depths_are_timed_back_to_back(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        pipe = tiny_pipeline(rng)
+        seen = []
+        real_top_k = evaluation.rerank.top_k
+
+        def recording_top_k(q, passages, k):
+            seen.append(k)
+            return real_top_k(q, passages, k)
+
+        monkeypatch.setattr(evaluation.rerank, "top_k", recording_top_k)
+        queries = rng.normal(size=(2, 12)).astype(np.float32)
+        stats = latency_bench(*pipe, queries, [10, 3], warmup=1, reps=2)
+        # every query at every depth in turn, for the warmup pass and each rep
+        assert seen == [10, 3] * 2 * 3
+        assert list(stats) == [10, 3]
+        for depth_stats in stats.values():
+            t = depth_stats.components["total"]
+            assert 0.0 <= t.p50_ms <= t.p95_ms
 
     def test_json_shape(self):
         stats = LatencyStats(components={"total": ComponentTiming(1.5, 2.0, 2.5)})

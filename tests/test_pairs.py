@@ -265,29 +265,39 @@ class TestRecordIo:
         path = tmp_path / "records.jsonl"
         save_records([record("q1", ["A", "B"])], str(path))
         path.write_text(path.read_text() + '{"question_id": "q2"}\n')
-        with pytest.raises(ValueError, match=":2:.*missing field"):
+        with pytest.raises(ValueError) as info:
             load_records(str(path))
+        assert str(info.value) == f"{path}:2: missing field 'question_text'"
 
     @pytest.mark.parametrize(
-        "field, value, expected",
+        "field, value, message",
         [
-            ("question_id", 7, "a string, got 7"),
-            ("question_text", None, "a string, got null"),
-            ("gold_passage_ids", 5, "a list of strings, got 5"),
-            ("gold_passage_ids", "AB", 'a list of strings, got "AB"'),
-            ("gold_passage_ids", ["A", 2], 'a list of strings, got ["A", 2]'),
-            ("gold_answer", ["x"], 'a string, got ["x"]'),
-            ("split", {"s": "train"}, 'a string, got {"s": "train"}'),
+            ("question_id", 7, "question_id: expected str, got 7"),
+            ("question_text", None, "question_text: expected str, got null"),
+            ("gold_passage_ids", 5, "gold_passage_ids: expected list[str], got 5"),
+            ("gold_passage_ids", "AB", 'gold_passage_ids: expected list[str], got "AB"'),
+            ("gold_passage_ids", ["A", 2], "gold_passage_ids[1]: expected str, got 2"),
+            ("gold_answer", ["x"], 'gold_answer: expected str, got ["x"]'),
+            ("split", {"s": "train"}, 'split: expected str, got {"s": "train"}'),
+        ],
+        ids=[
+            "question_id-7-a string, got 7",
+            "question_text-None-a string, got null",
+            "gold_passage_ids-5-a list of strings, got 5",
+            'gold_passage_ids-AB-a list of strings, got "AB"',
+            'gold_passage_ids-value4-a list of strings, got ["A", 2]',
+            'gold_answer-value5-a string, got ["x"]',
+            'split-value6-a string, got {"s": "train"}',
         ],
     )
-    def test_wrongly_typed_field_reports_line(self, tmp_path, field, value, expected):
+    def test_wrongly_typed_field_reports_line(self, tmp_path, field, value, message):
         path = tmp_path / "records.jsonl"
         bad = record("q2", ["C", "D"]).to_json_dict()
         bad[field] = value
         path.write_text(save_and_read([record("q1", ["A", "B"])], path) + json.dumps(bad) + "\n")
         with pytest.raises(ValueError) as info:
             load_records(str(path))
-        assert str(info.value) == f"{path}:2: {field}: expected {expected}"
+        assert str(info.value) == f"{path}:2: {message}"
 
     def test_bad_split_rejected(self):
         rec = record("q1", ["A", "B"])
@@ -310,9 +320,14 @@ class TestTextsIo:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('{"passage_id": ["p"], "text": "t"}', 'passage_id: expected a string, got ["p"]'),
-            ('{"passage_id": 3, "text": "t"}', "passage_id: expected a string, got 3"),
-            ('{"passage_id": "p", "text": {"t": 1}}', 'text: expected a string, got {"t": 1}'),
+            ('{"passage_id": ["p"], "text": "t"}', 'passage_id: expected str, got ["p"]'),
+            ('{"passage_id": 3, "text": "t"}', "passage_id: expected str, got 3"),
+            ('{"passage_id": "p", "text": {"t": 1}}', 'text: expected str, got {"t": 1}'),
+        ],
+        ids=[
+            '{"passage_id": ["p"], "text": "t"}-passage_id: expected a string, got ["p"]',
+            '{"passage_id": 3, "text": "t"}-passage_id: expected a string, got 3',
+            '{"passage_id": "p", "text": {"t": 1}}-text: expected a string, got {"t": 1}',
         ],
     )
     def test_wrongly_typed_field_reports_line(self, tmp_path, line, message):
