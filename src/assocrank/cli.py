@@ -26,7 +26,7 @@ from assocrank.embeddings import load_matrix, save_matrix, write_atomic
 from assocrank.model import AssocModel, load_model, save_model, transform_matrix
 from assocrank.rerank import RerankConfig
 from assocrank.synthetic import SyntheticSpec, generate_full
-from assocrank.training import TrainConfig, train
+from assocrank.training import PairSetError, TrainConfig, train
 
 
 class CliError(Exception):
@@ -169,10 +169,13 @@ def cmd_train(cfg: dict) -> int:
     config = _section(cfg, "train", TrainConfig, skip=("report",))
     report_path = _typed(cfg, "train.report", "str", None)
     embeddings = load_matrix(require(cfg, "passages"))
-    pair_set = pairs_mod.load_pairs(require(cfg, "pairs"))
+    pairs_path = require(cfg, "pairs")
+    pair_set = pairs_mod.load_pairs(pairs_path)
     model = AssocModel.initialize(embeddings.dim, seed=config.seed)
     try:
         model, report = train(model, pair_set, embeddings, config)
+    except PairSetError as exc:
+        raise ValueError(f"{pairs_path}: {exc}") from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
     save_model(model, require(cfg, "checkpoint"))
@@ -234,10 +237,17 @@ def cmd_rerank(cfg: dict) -> int:
     return 0
 
 
-def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None):
-    """(passages, config, ks, pools, records): the loaded pipeline, the ks set
-    by `ks_key` (which must include `required_k`, if given), one scored pool
-    per query, and those queries' records."""
+# queries per dense search in eval and sweep: a block's float32 score matrix
+# is 16 x N (6.4 MB at N = 100k)
+_QUERY_BLOCK = 16
+
+
+def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None, texts: bool = False):
+    """(passages, config, ks, pools, records, texts): the loaded pipeline, the
+    ks set by `ks_key` (which must include `required_k`, if given), one
+    scored pool per query, those queries' records and, if `texts` is set,
+    the texts file's texts (None when the config names none). The texts are
+    loaded and checked before any query is scored."""
     passages, queries, model, transformed, config = _load_pipeline(cfg)
     records = pairs_mod.load_records(require(cfg, "records"))
     known = {rec.question_id for rec in records}
@@ -251,19 +261,36 @@ def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None):
         raise CliError(f"{ks_key} {list(ks)} exceed rerank.pool_depth {config.pool_depth}")
     if required_k is not None and required_k not in ks:
         raise CliError(f"{ks_key} {list(ks)} must include the hit cutoff {required_k}")
-    pools = [
-        rerank_mod.score_pool(qid, queries.data[i], passages, transformed, model, config)
-        for i, qid in enumerate(queries.ids)
-    ]
+    texts_by_id = _load_texts(cfg, passages.ids) if texts else None
+    pools = []
+    for start in range(0, queries.rows, _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        pools += rerank_mod.score_pool(
+            queries.ids[block], queries.data[block], passages, transformed, model, config
+        )
     asked = set(queries.ids)
-    return passages, config, ks, pools, [rec for rec in records if rec.question_id in asked]
+    records = [rec for rec in records if rec.question_id in asked]
+    return passages, config, ks, pools, records, texts_by_id
+
+
+def _load_texts(cfg: dict, passage_ids: list[str]) -> dict[str, str] | None:
+    """The texts named by the `texts` key, or None if it is unset; a file
+    without a text for some passage is rejected, naming the first one."""
+    path = _typed(cfg, "texts", "str", None)
+    if path is None:
+        return None
+    texts = pairs_mod.load_texts(path)
+    missing = next((pid for pid in passage_ids if pid not in texts), None)
+    if missing is not None:
+        raise ValueError(f"{path}: no text for passage {missing!r}")
+    return texts
 
 
 def cmd_eval(cfg: dict) -> int:
     started = time.perf_counter()
-    passages, config, ks, pools, records = _scored_queries(cfg, "eval.ks", evaluation.HIT_K)
-    texts_path = _typed(cfg, "texts", "str", None)
-    texts = pairs_mod.load_texts(texts_path) if texts_path is not None else None
+    passages, config, ks, pools, records, texts = _scored_queries(
+        cfg, "eval.ks", evaluation.HIT_K, texts=True
+    )
 
     dense_rankings = {}
     rerank_rankings = {}
@@ -316,7 +343,7 @@ def _write_table(path: str, rows: list[dict], leading: list[str], ks: tuple[int,
 
 
 def cmd_sweep(cfg: dict) -> int:
-    passages, config, ks, pools, records = _scored_queries(cfg, "sweep.ks")
+    passages, config, ks, pools, records, _ = _scored_queries(cfg, "sweep.ks")
     lambdas = _typed(cfg, "sweep.lambdas", "list[float]", [0.0, 0.25, 0.5, 0.75, 1.0])
     lam_rows = evaluation.lambda_sweep(pools, passages.ids, records, lambdas, ks)
     _write_table(require(cfg, "sweep.lambda_out"), lam_rows, ["lambda"], ks)

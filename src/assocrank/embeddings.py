@@ -44,6 +44,10 @@ class EmbeddingMatrix:
     data: np.ndarray
     normalized: bool = False
     _row_of: dict[str, int] = field(init=False, repr=False)
+    # (data, its largest row norm), set by the first `max_norm` call
+    _max_norm: tuple[np.ndarray, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -77,6 +81,16 @@ class EmbeddingMatrix:
 
     def __contains__(self, pid: str) -> bool:
         return pid in self._row_of
+
+    def max_norm(self) -> float:
+        """The largest float64 L2 row norm; inf or NaN when a row is not
+        finite. Computed once per data array, so rows must not be changed in
+        place after the first call."""
+        if self._max_norm is None or self._max_norm[0] is not self.data:
+            # einsum casts a buffer at a time, so no float64 copy is made
+            squares = np.einsum("ij,ij->i", self.data, self.data, dtype=np.float64)
+            self._max_norm = (self.data, float(np.sqrt(squares.max(initial=0.0))))
+        return self._max_norm[1]
 
 
 def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
@@ -228,6 +242,7 @@ def load_matrix(path: str, expect_dim: int | None = None) -> EmbeddingMatrix:
         raise FormatError(str(exc)) from None
     if matrix.normalized and n > 0:
         norms = _row_norms(data)
+        matrix._max_norm = (matrix.data, float(norms.max()))
         worst = int(np.argmax(np.abs(norms - 1.0)))
         if abs(norms[worst] - 1.0) > NORM_TOLERANCE:
             raise FormatError(

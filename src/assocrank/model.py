@@ -130,7 +130,9 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
         raise FloatingPointError(f"non-finite values after {stage}")
 
 
-def _affine(model: AssocModel, h: np.ndarray, i: int) -> np.ndarray:
+def _affine(model: AssocModel, h: np.ndarray, i: int, checked: bool) -> np.ndarray:
+    if not checked:
+        return h @ model.weights[i].T + model.biases[i]
     # an overflow surfaces as the FloatingPointError below, not as a warning
     with np.errstate(over="ignore"):
         z = h @ model.weights[i].T + model.biases[i]
@@ -138,12 +140,12 @@ def _affine(model: AssocModel, h: np.ndarray, i: int) -> np.ndarray:
     return z
 
 
-def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
-    """Apply f to each row of x. Returns (outputs, cache).
+def _forward(model: AssocModel, x: np.ndarray, degenerate: str, keep_cache: bool):
+    """f of each row of x: (outputs, cache), the cache None unless `keep_cache`.
 
-    degenerate: what to do when the pre-normalization blend has norm
-    <= 1e-12 for some row. "raise" is the training behaviour; "zero" emits a
-    zero row (inference path) and records the rows in cache["degenerate"].
+    With the cache, finiteness is checked after every affine map and
+    layernorm, raising FloatingPointError("non-finite values after <stage>").
+    Without it nothing is checked, and the caller checks the output once.
     """
     if degenerate not in ("raise", "zero"):
         raise ValueError(f"unknown degenerate policy {degenerate!r}")
@@ -151,25 +153,28 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValueError(f"input shape {x.shape} does not match model dim {model.dim}")
 
+    d = model.dim
     h = x
     lns = []   # per layernorm: (xhat, inv_sigma)
     acts = []  # per block: (y, erf(y / sqrt(2))) with y the LN output
     inputs = [x]
     for i in range(3):
-        z = _affine(model, h, i)
-        mu = z.mean(axis=1, keepdims=True)
+        z = _affine(model, h, i, keep_cache)
+        mu = np.add.reduce(z, axis=1, keepdims=True) / d
         centered = z - mu
-        var = (centered * centered).mean(axis=1, keepdims=True)
+        var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
         inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
         xhat = centered * inv_sigma
         y = xhat * model.ln_scales[i] + model.ln_shifts[i]
-        _check_finite(y, f"layernorm {i}")
+        if keep_cache:
+            _check_finite(y, f"layernorm {i}")
         a, e = _gelu(y)
-        lns.append((xhat, inv_sigma))
-        acts.append((y, e))
-        inputs.append(a)
+        if keep_cache:
+            lns.append((xhat, inv_sigma))
+            acts.append((y, e))
+            inputs.append(a)
         h = a
-    g = _affine(model, h, 3)
+    g = _affine(model, h, 3, keep_cache)
 
     alpha = 1.0 / (1.0 + np.exp(-model.alpha_raw[0]))
     u = alpha * x + (1.0 - alpha) * g
@@ -183,6 +188,8 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
     f = u / safe
     if degenerate_rows.size:
         f[degenerate_rows] = 0.0
+    if not keep_cache:
+        return f, None
     cache = {
         "inputs": inputs,
         "lns": lns,
@@ -197,9 +204,28 @@ def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
     return f, cache
 
 
+def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
+    """Apply f to each row of x. Returns (outputs, cache).
+
+    degenerate: what to do when the pre-normalization blend has norm
+    <= 1e-12 for some row. "raise" is the training behaviour; "zero" emits a
+    zero row (inference path) and records the rows in cache["degenerate"].
+    """
+    return _forward(model, x, degenerate, keep_cache=True)
+
+
 def forward(model: AssocModel, x: np.ndarray, degenerate: str = "raise") -> np.ndarray:
-    """Transform a single vector."""
-    out, _ = forward_batch(model, np.asarray(x)[None, :], degenerate=degenerate)
+    """Transform a single vector, as forward_batch does a row, bit for bit.
+
+    The inference pass: no cache, one error state and one finiteness check,
+    of the output. A non-finite output is computed again with the checks of
+    every stage, so the error names the stage, as forward_batch's does.
+    """
+    row = np.asarray(x)[None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out, _ = _forward(model, row, degenerate, keep_cache=False)
+    if not np.isfinite(out).all():
+        out, _ = _forward(model, row, degenerate, keep_cache=True)
     return out[0]
 
 

@@ -11,6 +11,7 @@ checks their fields and the CLI's config values.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import logging
@@ -70,27 +71,46 @@ def check_type(where: str, value, kind: str):
     raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)[:60]}")
 
 
+def _text_lines(path: str):
+    """The lines of a UTF-8 text file, read as `open` reads them in text
+    mode. A byte that is not UTF-8 raises ValueError naming path:lineno."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass  # the decoder read ahead, so find the byte in the raw file
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes, and its newlines count lines
+        before = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read()
+        lineno = before.count("\n") + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _json_objects(path: str, kinds: dict[str, str]):
     """For each non-blank line of a JSON-lines file, its fields named in
     `kinds`, each checked as its type by `check_type`. A line that is not
-    valid JSON, not a JSON object or missing a field raises ValueError naming
-    path:lineno."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON ({exc})") from None
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            missing = [name for name in kinds if name not in raw]
-            if missing:
-                raise ValueError(f"{where}: missing field {missing[0]!r}")
-            yield {name: check_type(f"{where}: {name}", raw[name], kinds[name]) for name in kinds}
+    UTF-8, not valid JSON, not a JSON object or missing a field raises
+    ValueError naming path:lineno."""
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where}: not a JSON object")
+        missing = [name for name in kinds if name not in raw]
+        if missing:
+            raise ValueError(f"{where}: missing field {missing[0]!r}")
+        yield {name: check_type(f"{where}: {name}", raw[name], kinds[name]) for name in kinds}
 
 
 def _save_json_objects(objects, path: str) -> None:
@@ -284,18 +304,17 @@ def load_pairs(path: str) -> AssocPairSet:
     loads with provenance "file"."""
     pairs = []
     provenance = "file"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if lineno == 1 and line.startswith(_PROVENANCE):
-                provenance = line[len(_PROVENANCE):]
-                continue
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two tab-separated ids")
-            pairs.append((parts[0], parts[1]))
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.rstrip("\n")
+        if lineno == 1 and line.startswith(_PROVENANCE):
+            provenance = line[len(_PROVENANCE):]
+            continue
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two tab-separated ids")
+        pairs.append((parts[0], parts[1]))
     return AssocPairSet(
         pairs=pairs, pair_splits=[frozenset()] * len(pairs), provenance=provenance
     )

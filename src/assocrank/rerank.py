@@ -8,7 +8,10 @@ Scoring modes, all built from the transform f:
     mixed_bidi        0.5 * (f(q) . p  +  f(p) . q)
 
 The passage-side transform comes from a precomputed TransformedMatrix, so a
-query costs one forward pass plus K dot products per direction. The final
+query costs one forward pass plus K dot products per direction. Pools can be
+scored a block of queries at a time: the dense search then runs one GEMM for
+the block, and each query still gets its own forward pass, so its pool is the
+same as when it is scored alone. The final
 ranking orders candidates by (1 - lambda) * sim + lambda * assoc with ties
 broken toward the lower passage row.
 """
@@ -21,7 +24,7 @@ import numpy as np
 
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, TransformedMatrix, forward
-from assocrank.search import top_k
+from assocrank.search import QueryError, top_k
 
 SCORING_MODES = ("forward_only", "reverse_only", "both_transformed", "mixed_bidi")
 
@@ -130,23 +133,38 @@ def _blend_order(
 
 
 def score_pool(
-    query_id: str,
+    query_id: str | list[str],
     query: np.ndarray,
     passages: EmbeddingMatrix,
     transformed: TransformedMatrix,
     model: AssocModel,
     config: RerankConfig,
-) -> ScoredPool:
-    """Retrieve a dense pool and attach association scores (dense order)."""
+) -> ScoredPool | list[ScoredPool]:
+    """Retrieve dense pools and attach association scores (dense order).
+
+    One query (an id and a (d,) vector) gives its ScoredPool; a block (a
+    sequence of Q ids and a (Q, d) array) gives a list of Q, each equal to
+    that query's own pool.
+    """
     _check_pool_inputs(passages, transformed, config)
     q = np.asarray(query, dtype=np.float32)
+    ids = [query_id] if q.ndim == 1 else list(query_id)
+    if q.ndim == 2 and len(ids) != q.shape[0]:
+        raise ValueError(f"{len(ids)} query ids for {q.shape[0]} queries")
     try:
         rows, sims = top_k(q, passages, config.pool_depth)
     except ValueError as exc:
-        raise ValueError(f"query {query_id!r}: {exc}") from None
-    fq = forward(model, q, degenerate="zero")
-    assocs = _association_readout(q, fq, rows, passages, transformed, config.mode)
-    return ScoredPool(query_id=query_id, rows=rows, sims=sims, assocs=assocs)
+        # a fault of the whole call, such as K out of range, names the first query
+        index = exc.index if isinstance(exc, QueryError) else 0
+        raise ValueError(f"query {ids[index]!r}: {exc}") from None
+    shape = (len(ids), -1)
+    pools = []
+    blocks = zip(ids, q.reshape(shape), rows.reshape(shape), sims.reshape(shape))
+    for qid, qi, pool_rows, pool_sims in blocks:
+        fq = forward(model, qi, degenerate="zero")
+        assocs = _association_readout(qi, fq, pool_rows, passages, transformed, config.mode)
+        pools.append(ScoredPool(query_id=qid, rows=pool_rows, sims=pool_sims, assocs=assocs))
+    return pools[0] if q.ndim == 1 else pools
 
 
 def rank_rows(scored: ScoredPool, blend_lambda: float, cutoff: int) -> np.ndarray:

@@ -27,6 +27,11 @@ logger = logging.getLogger(__name__)
 NEGATIVE_MODES = ("in_batch", "random_sampled")
 
 
+class PairSetError(ValueError):
+    """Raised by `train` for a pair set it cannot train on: empty, naming an
+    id the embeddings lack, or smaller than one batch."""
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 512
@@ -222,7 +227,7 @@ def _resolve_pairs(pairs: AssocPairSet, embeddings: EmbeddingMatrix):
     for i, (a, b) in enumerate(pairs.pairs):
         if a not in embeddings or b not in embeddings:
             missing = a if a not in embeddings else b
-            raise ValueError(f"pair id {missing!r} not present in the embedding matrix")
+            raise PairSetError(f"pair id {missing!r} not present in the embedding matrix")
         rows_a[i] = embeddings.row(a)
         rows_b[i] = embeddings.row(b)
     return rows_a, rows_b
@@ -257,11 +262,11 @@ def train(
     """
     config.validate()
     if not pairs.pairs:
-        raise ValueError("empty pair set")
+        raise PairSetError("empty pair set")
     rows_a, rows_b = _resolve_pairs(pairs, embeddings)
     n = rows_a.size
     if config.batch_size > n:
-        raise ValueError(f"batch_size {config.batch_size} exceeds pair count {n}")
+        raise PairSetError(f"batch_size {config.batch_size} exceeds pair count {n}")
     if config.batch_size < 2:
         raise ValueError("batch_size must be >= 2: a batch of one pair has no in-batch contrast")
     start = time.perf_counter()

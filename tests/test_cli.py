@@ -22,9 +22,11 @@ from assocrank.cli import (
     parse_config_file,
     write_json,
 )
-from assocrank.embeddings import write_atomic
-from assocrank.model import AssocModel, load_model, save_model
+from assocrank.embeddings import load_matrix, write_atomic
+from assocrank.model import AssocModel, load_model, save_model, transform_matrix
 from assocrank.pairs import load_texts
+from assocrank.rerank import RerankConfig, rerank_query
+from assocrank.search import top_k
 
 ALL_COMMANDS = ["synth", "pairs", "train", "rerank", "eval", "sweep", "bench"]
 OUTPUTS = {
@@ -286,6 +288,32 @@ class TestPipeline:
             assert np.array_equal(a, b)
 
 
+    def test_eval_rankings_equal_rerank_query(self, pipeline, tmp_path, monkeypatch):
+        # eval scores its 30 queries in blocks of 16; each ranking must be
+        # the one rerank_query gives that query alone
+        _, cfg, config_path = pipeline
+        seen = {}
+        real = cli.evaluation.evaluate_system
+
+        def recording(name, rankings, *args):
+            seen[name] = rankings
+            return real(name, rankings, *args)
+
+        monkeypatch.setattr(cli.evaluation, "evaluate_system", recording)
+        argv = ["eval", "--config", str(config_path), "--set", f"eval.out={tmp_path / 'e.json'}"]
+        assert main(argv) == 0
+        passages, queries = load_matrix(cfg["passages"]), load_matrix(cfg["queries"])
+        model = load_model(cfg["checkpoint"])
+        transformed = transform_matrix(model, passages)
+        config = RerankConfig(blend_lambda=0.5, pool_depth=50, cutoff=50)
+        assert sorted(seen["rerank"]) == sorted(queries.ids)
+        for qid, q in zip(queries.ids, queries.data):
+            result = rerank_query(qid, q, passages, transformed, model, config)
+            assert seen["rerank"][qid] == [passages.ids[e.passage_row] for e in result.entries]
+            dense_rows, _ = top_k(q, passages, 50)
+            assert seen["dense"][qid] == [passages.ids[r] for r in dense_rows]
+
+
 class TestDeterminism:
     def test_repeated_runs_identical_modulo_timing(self, tmp_path):
         root = tmp_path
@@ -508,6 +536,53 @@ class TestErrors:
         err = self.run_expecting_error(argv, capsys, f"{bad}:1: {field}: {message}")
         assert err == f"error: ValueError: {bad}:1: {field}: {message}\n"
         assert "Traceback" not in err
+        assert os.listdir(out) == []
+
+    def test_texts_without_a_passage_fail_before_scoring(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        def no_scoring(*args, **kwargs):
+            pytest.fail("scored a pool")
+
+        monkeypatch.setattr(cli.rerank_mod, "score_pool", no_scoring)
+        _, cfg, config_path = pipeline
+        lines = Path(cfg["texts"]).read_text(encoding="utf-8").splitlines()
+        dropped = json.loads(lines[4])["passage_id"]
+        bad = tmp_path / "texts.jsonl"
+        bad.write_text("\n".join(lines[:4] + lines[5:]) + "\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--config", str(config_path), "--set", f"texts={bad}"]
+        argv += ["--set", f"eval.out={out}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, "")
+        assert err == f"error: ValueError: {bad}: no text for passage {dropped!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pairs_text, message",
+        [
+            ("a\tb\n", "pair id 'a' not present in the embedding matrix"),
+            ("", "empty pair set"),
+            (None, "batch_size 8 exceeds pair count 3"),
+        ],
+        ids=["unknown-id", "empty", "too-few"],
+    )
+    def test_pair_faults_name_the_pairs_file(
+        self, pipeline, tmp_path, capsys, pairs_text, message
+    ):
+        _, cfg, config_path = pipeline
+        if pairs_text is None:  # the first three pairs of the real file
+            pairs_text = "".join(Path(cfg["pairs"]).read_text(encoding="utf-8").splitlines(True)[:4])
+        bad = tmp_path / "pairs.tsv"
+        bad.write_text(pairs_text, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", "--config", str(config_path), "--set", f"pairs={bad}"]
+        for key in OUTPUTS["train"]:
+            argv += ["--set", f"{key}={out / key}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, message)
+        assert err == f"error: ValueError: {bad}: {message}\n"
         assert os.listdir(out) == []
 
     def test_corrupt_matrix_header(self, pipeline, tmp_path, capsys):

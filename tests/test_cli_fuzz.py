@@ -104,3 +104,26 @@ def test_damaged_input_exits_cleanly(pipeline, tmp_path, capsys, key):
             assert err.startswith("error: ") and err.count("\n") == 1, case
             assert err.endswith("\n") and "Traceback" not in err, case
             assert os.listdir(out) == [], case
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [("records", "pairs"), ("records", "eval"), ("texts", "eval"), ("pairs", "train")],
+)
+def test_bad_utf8_names_the_file_and_line(pipeline, tmp_path, capsys, key, command):
+    cfg, config_path = pipeline
+    lines = Path(cfg[key]).read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + b"\xbb" + lines[2][5:]
+    bad = tmp_path / Path(cfg[key]).name
+    bad.write_bytes(b"\n".join(lines))
+    position = len(lines[0]) + len(lines[1]) + 2 + 5
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--config", str(config_path), "--set", f"{key}={bad}"]
+    for out_key in OUTPUTS[command]:
+        argv += ["--set", f"{out_key}={out / out_key}"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValueError: {bad}:3: invalid UTF-8 (invalid start byte at byte {position})\n"
+    assert os.listdir(out) == []

@@ -134,6 +134,42 @@ class TestForward:
         for i in range(4):
             assert np.abs(forward(model, x[i]) - batch[i]).max() < 1e-6
 
+    def test_single_vector_equals_a_one_row_batch_bit_for_bit(self):
+        # forward is the lean pass over the same arithmetic
+        rng = np.random.default_rng(16)
+        for trial in range(20):
+            d = int(rng.integers(1, 40))
+            model = perturbed_model(d, seed=trial)
+            for x in rng.normal(size=(5, d)).astype(np.float32):
+                batch, _ = forward_batch(model, x[None, :], degenerate="zero")
+                assert forward(model, x, degenerate="zero").tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("stage", ["affine 0", "layernorm 0", "affine 1"])
+    def test_single_vector_errors_name_the_stage(self, stage):
+        model = perturbed_model(8, seed=3)
+        x = np.random.default_rng(17).normal(size=8).astype(np.float32)
+        if stage == "affine 0":
+            model.weights[0][:] = 3e38
+            x[:] = 2.0  # every output of the first affine map overflows
+        elif stage == "layernorm 0":
+            model.ln_scales[0][:] = 3e38
+        else:
+            model.weights[1][:] = 3e38
+        # forward_batch warns of an overflow in a layernorm before it raises
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as batch_error:
+            forward_batch(model, x[None, :])
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as single_error:
+            forward(model, x)
+        assert str(single_error.value) == str(batch_error.value)
+        assert str(single_error.value) == f"non-finite values after {stage}"
+
+    def test_single_vector_degenerate_policies(self):
+        model = AssocModel.initialize(7, seed=4)
+        zero = np.zeros(7, dtype=np.float32)
+        with pytest.raises(FloatingPointError, match="row 0"):
+            forward(model, zero)
+        assert forward(model, zero, degenerate="zero").tolist() == [0.0] * 7
+
     def test_gate_saturation_is_pure_normalization(self):
         # float32 logistic saturates to exactly 1.0 at alpha_raw = 20, so the
         # blend contributes exactly 0 * g and the transform reduces to row

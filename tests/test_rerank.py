@@ -233,6 +233,35 @@ class TestScorePool:
             score_pool("q", passages.data[0], passages, transformed, model, RerankConfig(pool_depth=5, cutoff=2))
 
 
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_a_block_equals_one_query_at_a_time(self, mode):
+        rng = np.random.default_rng(10)
+        passages, model, transformed = pipeline_parts(rng, n=301)
+        queries = rng.normal(size=(21, 24)).astype(np.float32)
+        ids = [f"q{i}" for i in range(21)]
+        cfg = RerankConfig(pool_depth=30, cutoff=5, mode=mode)
+        pools = []
+        for lo in range(0, 21, 8):
+            pools += score_pool(ids[lo : lo + 8], queries[lo : lo + 8], passages, transformed, model, cfg)
+        assert [p.query_id for p in pools] == ids
+        for qid, q, pool in zip(ids, queries, pools):
+            alone = score_pool(qid, q, passages, transformed, model, cfg)
+            for name in ("rows", "sims", "assocs"):
+                got, want = getattr(pool, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_nan_query_in_a_block_is_named(self):
+        rng = np.random.default_rng(11)
+        passages, model, transformed = pipeline_parts(rng, n=20)
+        queries = rng.normal(size=(4, 24)).astype(np.float32)
+        queries[2, 5] = np.nan
+        cfg = RerankConfig(pool_depth=5, cutoff=2)
+        with pytest.raises(ValueError, match=r"^query 'b': query scores are NaN for 20 of 20 passages"):
+            score_pool(["z", "a", "b", "c"], queries, passages, transformed, model, cfg)
+        with pytest.raises(ValueError, match="3 query ids for 4 queries"):
+            score_pool(["z", "a", "b"], queries, passages, transformed, model, cfg)
+
+
 class TestRerankQuery:
     def test_nan_query_error_names_the_query(self):
         passages = EmbeddingMatrix(ids=[f"p{i}" for i in range(4)], data=np.eye(4, dtype=np.float32))

@@ -1,8 +1,10 @@
-"""Partition-based top-K against the stable full sort it replaces.
+"""Partition-based top-K against a stable full sort of the dense score.
 
-The reference is the first K of `np.argsort(-(P @ q), kind="stable")`, with
-the same float32 scores; rows and score bytes must match exactly on inputs
-built to be tie-heavy.
+The reference is the first K of `np.argsort(-exact, kind="stable")`, where
+`exact` is the dense score as `search` defines it, computed here one row at a
+time: float64 products of the float32 entries, numpy's sum, rounded to
+float32. Rows and score bytes must match exactly on inputs built to be
+tie-heavy.
 """
 
 import numpy as np
@@ -16,8 +18,17 @@ def matrix_from(data):
     return EmbeddingMatrix(ids=[f"p{i}" for i in range(data.shape[0])], data=data)
 
 
+def exact_scores(data, query):
+    """The dense score of every row, each row reduced on its own."""
+    q = query.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array(
+            [np.add.reduce(row.astype(np.float64) * q) for row in data], dtype=np.float64
+        ).astype(np.float32)
+
+
 def assert_matches_stable_sort(query, data, k):
-    scores = data @ query
+    scores = exact_scores(data, query)
     expected = np.argsort(-scores, kind="stable")[:k]
     rows, got = top_k(query, matrix_from(data), k)
     assert rows.dtype == np.int64 and got.dtype == np.float32
@@ -28,7 +39,7 @@ def assert_matches_stable_sort(query, data, k):
 
 def cuts_a_tie_group(data, query, k):
     """True when the K-th score is shared by rows both inside and outside the top K."""
-    scores = np.sort(-(data @ query))
+    scores = np.sort(-exact_scores(data, query))
     return k < scores.size and scores[k - 1] == scores[k]
 
 
