@@ -4,14 +4,15 @@ The reference is the first K of `np.argsort(-exact, kind="stable")`, where
 `exact` is the dense score as `search` defines it, computed here one row at a
 time: float64 products of the float32 entries, numpy's sum, rounded to
 float32. Rows and score bytes must match exactly on inputs built to be
-tie-heavy.
+tie-heavy, and a query's result must not depend on the block of queries
+it is searched in.
 """
 
 import numpy as np
 import pytest
 
 from assocrank.embeddings import EmbeddingMatrix
-from assocrank.search import _top_rows, top_k
+from assocrank.search import QueryError, _exact_scores, _top_rows, top_k
 
 
 def matrix_from(data):
@@ -138,3 +139,88 @@ class TestNaN:
         assert scores.tolist() == [21.0, 13.0, 9.0, 1.0]
         with pytest.raises(ValueError, match="NaN for 2 of 6 passages, leaving fewer than K=5"):
             top_k(q, m, 5)
+
+
+def exact_top_k(query, data, k):
+    """The first K rows of a stable sort of the negated exact scores."""
+    scores = exact_scores(data, query)
+    rows = np.argsort(-scores, kind="stable")[:k]
+    return rows, scores[rows]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 64, 127, 128, 129, 256, 1024])
+    def test_exact_score_of_a_row_does_not_depend_on_its_neighbours(self, d):
+        rng = np.random.default_rng(d)
+        data = rng.normal(size=(203, d)).astype(np.float32)
+        q = rng.normal(size=d).astype(np.float32).astype(np.float64)
+        alone = np.array([_exact_scores(data[r : r + 1], q)[0] for r in range(203)])
+        for step in (1, 4, 16, 203):
+            together = np.concatenate(
+                [_exact_scores(data[lo : lo + step], q) for lo in range(0, 203, step)]
+            )
+            assert together.tobytes() == alone.tobytes(), step
+
+    @pytest.mark.parametrize("n", [2000, 2001, 2002, 2003])
+    def test_block_results_equal_single_queries(self, n):
+        # N % 4 = 0..3, so some rows fall in BLAS's tail kernels
+        rng = np.random.default_rng(n)
+        d, k = 24, 37
+        data = rng.normal(size=(n, d)).astype(np.float32)
+        queries = rng.normal(size=(64, d)).astype(np.float32)
+        queries[7] *= 1e-3  # queries of different norms share a block
+        queries[9] = 0.0
+        m = matrix_from(data)
+        single = [top_k(q, m, k) for q in queries]
+        for i, q in enumerate(queries):
+            rows, scores = exact_top_k(q, data, k)
+            assert single[i][0].tolist() == rows.tolist()
+            assert single[i][1].tobytes() == scores.tobytes()
+        for size in (1, 5, 16, 64):
+            for lo in range(0, 64, size):
+                rows, scores = top_k(queries[lo : lo + size], m, k)
+                assert rows.shape == scores.shape == (min(size, 64 - lo), k)
+                assert rows.dtype == np.int64 and scores.dtype == np.float32
+                for j in range(rows.shape[0]):
+                    assert rows[j].tolist() == single[lo + j][0].tolist()
+                    assert scores[j].tobytes() == single[lo + j][1].tobytes()
+
+    def test_many_rows_within_eps_of_the_kth_score(self):
+        # 400 near-copies of one row, whose exact scores differ by about one
+        # float32 step of the score: the prefilter misorders them, so the
+        # window must hold many more than K rows to find the exact top K
+        rng = np.random.default_rng(41)
+        d, k = 64, 50
+        q = rng.normal(size=d).astype(np.float32)
+        near = (q.astype(np.float64) + 1e-6 * rng.normal(size=(400, d))).astype(np.float32)
+        far = (0.1 * rng.normal(size=(600, d))).astype(np.float32)
+        data = np.concatenate([near, far])[rng.permutation(1000)]
+        m = matrix_from(data)
+        rows, scores = top_k(q, m, k)
+        expected_rows, expected_scores = exact_top_k(q, data, k)
+        assert rows.tolist() == expected_rows.tolist()
+        assert scores.tobytes() == expected_scores.tobytes()
+        prefilter_rows = np.argsort(-(data @ q), kind="stable")[:k]
+        assert prefilter_rows.tolist() != expected_rows.tolist()
+        block_rows, block_scores = top_k(np.stack([q, q[::-1], q]), m, k)
+        assert block_rows[0].tolist() == block_rows[2].tolist() == expected_rows.tolist()
+        assert block_scores[2].tobytes() == expected_scores.tobytes()
+
+    def test_a_nan_query_in_a_block_is_named_by_its_index(self):
+        data = np.eye(4, dtype=np.float32)
+        queries = np.ones((5, 4), dtype=np.float32)
+        queries[3, 0] = np.nan
+        with pytest.raises(QueryError, match="NaN for 4 of 4 passages") as info:
+            top_k(queries, matrix_from(data), 2)
+        assert info.value.index == 3
+
+    def test_non_finite_prefilter_scores_every_row_exactly(self):
+        # float32 products overflow here, but the float64 ones do not
+        data = np.array([[3e30, -3e30], [1e30, 0.0], [0.0, 1e30]], dtype=np.float32)
+        q = np.array([2e10, 2e10], dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(data @ q).all()
+        rows, scores = top_k(q, matrix_from(data), 3)
+        expected_rows, expected_scores = exact_top_k(q, data, 3)
+        assert rows.tolist() == expected_rows.tolist() == [1, 2, 0]
+        assert scores.tobytes() == expected_scores.tobytes()
