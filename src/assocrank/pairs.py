@@ -89,6 +89,7 @@ def _text_lines(path: str):
         before = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read()
         lineno = before.count("\n") + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    raise ValueError(f"{path}: changed while it was read")
 
 
 def _json_objects(path: str, kinds: dict[str, str]):
