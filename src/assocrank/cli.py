@@ -50,7 +50,7 @@ def parse_config_file(path: str) -> dict:
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of more digits than int() converts
         return raw
 
 

@@ -87,9 +87,7 @@ class EmbeddingMatrix:
         finite. Computed once per data array, so rows must not be changed in
         place after the first call."""
         if self._max_norm is None or self._max_norm[0] is not self.data:
-            # einsum casts a buffer at a time, so no float64 copy is made
-            squares = np.einsum("ij,ij->i", self.data, self.data, dtype=np.float64)
-            self._max_norm = (self.data, float(np.sqrt(squares.max(initial=0.0))))
+            self._max_norm = (self.data, float(_row_norms(self.data).max(initial=0.0)))
         return self._max_norm[1]
 
 
@@ -192,14 +190,9 @@ def _read_on(fh, buf: bytes, end: int, what: str) -> bytes:
 
 
 def _row_norms(data: np.ndarray) -> np.ndarray:
-    """Float64 L2 norm of each row, converted 4096 rows at a time so no
-    float64 copy of the whole matrix is made."""
-    norms = np.empty(data.shape[0])
-    for start in range(0, data.shape[0], 4096):
-        norms[start : start + 4096] = np.linalg.norm(
-            data[start : start + 4096].astype(np.float64), axis=1
-        )
-    return norms
+    """Float64 L2 norm of each row. einsum casts a buffer at a time, so no
+    float64 copy of the matrix is made."""
+    return np.sqrt(np.einsum("ij,ij->i", data, data, dtype=np.float64))
 
 
 def load_matrix(path: str, expect_dim: int | None = None) -> EmbeddingMatrix:

@@ -481,7 +481,7 @@ def latency_bench(
                 t0 = time.perf_counter()
                 rows, sims = rerank.top_k(q, passages, depth)
                 t1 = time.perf_counter()
-                fq = rerank.forward(model, q, degenerate="zero")
+                fq = rerank.forward(model, q)
                 t2 = time.perf_counter()
                 assocs = rerank._association_readout(q, fq, rows, passages, transformed, mode)
                 t3 = time.perf_counter()

@@ -140,15 +140,15 @@ def _affine(model: AssocModel, h: np.ndarray, i: int, checked: bool) -> np.ndarr
     return z
 
 
-def _forward(model: AssocModel, x: np.ndarray, degenerate: str, keep_cache: bool):
+def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     """f of each row of x: (outputs, cache), the cache None unless `keep_cache`.
 
-    With the cache, finiteness is checked after every affine map and
-    layernorm, raising FloatingPointError("non-finite values after <stage>").
-    Without it nothing is checked, and the caller checks the output once.
+    A row whose pre-normalization blend has norm <= 1e-12 comes out as zeros
+    and is listed in cache["degenerate"]. With the cache, finiteness is
+    checked after every affine map and layernorm, raising
+    FloatingPointError("non-finite values after <stage>"). Without it
+    nothing is checked, and the caller checks the output once.
     """
-    if degenerate not in ("raise", "zero"):
-        raise ValueError(f"unknown degenerate policy {degenerate!r}")
     x = np.ascontiguousarray(x, dtype=model.dtype)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValueError(f"input shape {x.shape} does not match model dim {model.dim}")
@@ -180,10 +180,6 @@ def _forward(model: AssocModel, x: np.ndarray, degenerate: str, keep_cache: bool
     u = alpha * x + (1.0 - alpha) * g
     norms = np.sqrt((u * u).sum(axis=1, keepdims=True))
     degenerate_rows = np.where(norms[:, 0] <= DEGENERATE_NORM)[0]
-    if degenerate_rows.size and degenerate == "raise":
-        raise FloatingPointError(
-            f"degenerate pre-normalization vector at row {int(degenerate_rows[0])}"
-        )
     safe = np.where(norms <= DEGENERATE_NORM, 1.0, norms)
     f = u / safe
     if degenerate_rows.size:
@@ -204,29 +200,37 @@ def _forward(model: AssocModel, x: np.ndarray, degenerate: str, keep_cache: bool
     return f, cache
 
 
-def forward_batch(model: AssocModel, x: np.ndarray, degenerate: str = "raise"):
-    """Apply f to each row of x. Returns (outputs, cache).
+def forward_batch(model: AssocModel, x: np.ndarray):
+    """The training pass: f of each row of x, checked at every stage.
+    Returns (outputs, cache). A row whose pre-normalization blend has norm
+    <= 1e-12 raises FloatingPointError."""
+    f, cache = _forward(model, x, keep_cache=True)
+    if cache["degenerate"].size:
+        raise FloatingPointError(
+            f"degenerate pre-normalization vector at row {int(cache['degenerate'][0])}"
+        )
+    return f, cache
 
-    degenerate: what to do when the pre-normalization blend has norm
-    <= 1e-12 for some row. "raise" is the training behaviour; "zero" emits a
-    zero row (inference path) and records the rows in cache["degenerate"].
+
+def _infer(model: AssocModel, x: np.ndarray) -> np.ndarray:
+    """The inference pass: f of each row of the 2-D x, bit for bit as
+    forward_batch computes it, with degenerate rows as zeros.
+
+    No cache, one error state and one finiteness check, of the output. A
+    non-finite output is computed again with the checks of every stage, so
+    the error names the stage, as forward_batch's does.
     """
-    return _forward(model, x, degenerate, keep_cache=True)
-
-
-def forward(model: AssocModel, x: np.ndarray, degenerate: str = "raise") -> np.ndarray:
-    """Transform a single vector, as forward_batch does a row, bit for bit.
-
-    The inference pass: no cache, one error state and one finiteness check,
-    of the output. A non-finite output is computed again with the checks of
-    every stage, so the error names the stage, as forward_batch's does.
-    """
-    row = np.asarray(x)[None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, _ = _forward(model, row, degenerate, keep_cache=False)
+        out, _ = _forward(model, x, keep_cache=False)
     if not np.isfinite(out).all():
-        out, _ = _forward(model, row, degenerate, keep_cache=True)
-    return out[0]
+        out, _ = _forward(model, x, keep_cache=True)
+    return out
+
+
+def forward(model: AssocModel, x: np.ndarray) -> np.ndarray:
+    """Transform a single vector by the inference pass; a degenerate vector
+    gives zeros."""
+    return _infer(model, np.asarray(x)[None, :])[0]
 
 
 def backward_batch(model: AssocModel, cache: dict, df: np.ndarray) -> dict[str, np.ndarray]:
@@ -283,7 +287,7 @@ def transform_matrix(
 ) -> TransformedMatrix:
     """Apply f to every row. Row order and ids match the source matrix.
 
-    Each block of `_TRANSFORM_BLOCK` rows is one forward_batch call, run on a
+    Each block of `_TRANSFORM_BLOCK` rows is one inference pass, run on a
     thread pool with one thread per usable CPU that BLAS leaves free (see
     `_pool_size`). The bits depend on the block size but not on the thread
     count. The caller's numpy error state applies in every thread, and an
@@ -298,8 +302,7 @@ def transform_matrix(
     def run_block(start: int) -> None:
         rows = slice(start, start + _TRANSFORM_BLOCK)
         # a Context can be entered by one thread at a time, so each block gets a copy
-        block, _ = context.copy().run(forward_batch, model, matrix.data[rows], degenerate="zero")
-        out[rows] = block
+        out[rows] = context.copy().run(_infer, model, matrix.data[rows])
 
     with ThreadPoolExecutor(max_workers=_pool_size(len(starts))) as pool:
         for _ in pool.map(run_block, starts):

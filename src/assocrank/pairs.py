@@ -58,16 +58,20 @@ def check_type(where: str, value, kind: str):
     """`value`, as parsed from JSON, checked as the annotated type `kind`
     ("int", "float", "str", "int | None", "list[str]", ...) and returned. An
     int is a JSON integer only (not true, 60.9 or "60"); a float is any JSON
-    number, returned as a float. A mismatch raises ValueError naming `where`
-    (with `[i]` for a list item), the type and at most 60 characters of the
-    value's JSON. Config keys and record and texts fields all go through it."""
+    number that a float can hold, returned as a float. A mismatch raises
+    ValueError naming `where` (with `[i]` for a list item), the type and at
+    most 60 characters of the value's JSON. Config keys and record and texts
+    fields all go through it."""
     if kind.startswith("list[") and isinstance(value, list):
         return [check_type(f"{where}[{i}]", item, kind[5:-1]) for i, item in enumerate(value)]
     if value is None and kind.endswith(" | None"):
         return None
     base = kind.removesuffix(" | None")
     if isinstance(value, _SCALAR_TYPES.get(base, ())) and not isinstance(value, bool):
-        return float(value) if base == "float" else value
+        try:
+            return float(value) if base == "float" else value
+        except OverflowError:
+            pass  # an integer too large for a float
     raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)[:60]}")
 
 

@@ -161,7 +161,7 @@ def score_pool(
     pools = []
     blocks = zip(ids, q.reshape(shape), rows.reshape(shape), sims.reshape(shape))
     for qid, qi, pool_rows, pool_sims in blocks:
-        fq = forward(model, qi, degenerate="zero")
+        fq = forward(model, qi)
         assocs = _association_readout(qi, fq, pool_rows, passages, transformed, config.mode)
         pools.append(ScoredPool(query_id=qid, rows=pool_rows, sims=pool_sims, assocs=assocs))
     return pools[0] if q.ndim == 1 else pools

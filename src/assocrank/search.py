@@ -78,18 +78,20 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
                 eps = (d * _U / (1.0 - d * _U) + 2.0 * _U) * bound + d * _UNDERFLOW
                 rows = _window(neg[i], k, eps)
                 exact = _exact_scores(data.take(rows, axis=0), q64[i])
-                # the scores are finite; rows ascend, so ties go to the lower row
-                top = np.lexsort((rows, -exact))[:k]
             else:
                 # the prefilter may overflow or hold NaN: score every row exactly
                 rows = np.arange(passages.rows)
                 exact = np.concatenate(
                     [_exact_scores(data[lo : lo + _CHUNK_ROWS], q64[i]) for lo in rows[::_CHUNK_ROWS]]
                 )
-                try:
-                    top = _top_rows(exact, k)
-                except ValueError as exc:
-                    raise QueryError(i, str(exc)) from None
+            # rows ascend, so ties go to the lower row; NaN sorts last
+            top = np.lexsort((rows, -exact))[:k]
+            if math.isnan(exact[top[-1]]):
+                raise QueryError(
+                    i,
+                    f"query scores are NaN for {int(np.isnan(exact).sum())} of {exact.size} "
+                    f"passages, leaving fewer than K={k} to rank",
+                )
             results.append((rows[top], exact[top]))
     if q.ndim == 1:
         return results[0]
@@ -111,23 +113,3 @@ def _exact_scores(rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
     products = rows.astype(np.float64)
     products *= q64
     return np.add.reduce(products, axis=-1).astype(np.float32)
-
-
-def _top_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the K best `scores`, best first, ties toward the lower
-    position: the first K of a stable sort of `-scores`, without sorting
-    every score."""
-    neg = -scores
-    # the K-th smallest negated score; partition places NaN last, so a NaN
-    # here means fewer than K scores are not NaN
-    kth = np.partition(neg, k - 1)[k - 1]
-    if np.isnan(kth):
-        raise ValueError(
-            f"query scores are NaN for {int(np.isnan(scores).sum())} of {scores.size} "
-            f"passages, leaving fewer than K={k} to rank"
-        )
-    # every row that ties or beats the K-th score, so a tie group cut by K is
-    # kept whole; ordering by (-score, row) then matches the stable sort, and
-    # the fancy index gives an array that owns its K entries
-    candidates = np.flatnonzero(neg <= kth)
-    return candidates[np.lexsort((candidates, neg[candidates]))[:k]].astype(np.int64, copy=False)

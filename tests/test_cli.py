@@ -374,6 +374,12 @@ BAD_CONFIG_VALUES = [
     ("train", "train.seed=1.5", "train.seed: expected int, got 1.5"),
     ("train", "train.batch_size=true", "train.batch_size: expected int, got true"),
     ("train", "train.momentum=0.9", "unknown config key 'train.momentum'"),
+    ("train", "train.adam_beta1=7", "bad train config: adam_beta1 must be in [0, 1), got 7.0"),
+    (
+        "train",
+        "train.temperature=NaN",
+        "bad train config: temperature must be finite and > 0, got nan",
+    ),
     (
         "train",
         "train.batch_size=1",
@@ -453,6 +459,20 @@ class TestErrors:
         argv = ["synth", "--set", f"passages={tmp_path / 'p.aare'}", "--set", f"{key}=oops"]
         err = self.run_expecting_error(argv, capsys, message)
         assert err == f"error: config: {key}: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_number_too_large_for_a_float(self, pipeline, tmp_path, capsys, digits):
+        # 400 digits parse as a JSON integer that float() cannot hold; 5000
+        # are more than int() converts, so the value stays a string
+        _, _, config_path = pipeline
+        value = "1" + "0" * (digits - 1)
+        argv = ["eval", "--config", str(config_path), "--set", f"rerank.lambda={value}"]
+        argv += ["--set", f"eval.out={tmp_path / 'eval.json'}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, "")
+        shown = value[:60] if digits == 400 else f'"{value[:59]}'
+        assert err == f"error: config: rerank.lambda: expected float, got {shown}\n"
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(

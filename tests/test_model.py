@@ -141,8 +141,8 @@ class TestForward:
             d = int(rng.integers(1, 40))
             model = perturbed_model(d, seed=trial)
             for x in rng.normal(size=(5, d)).astype(np.float32):
-                batch, _ = forward_batch(model, x[None, :], degenerate="zero")
-                assert forward(model, x, degenerate="zero").tobytes() == batch[0].tobytes()
+                batch, _ = forward_batch(model, x[None, :])
+                assert forward(model, x).tobytes() == batch[0].tobytes()
 
     @pytest.mark.parametrize("stage", ["affine 0", "layernorm 0", "affine 1"])
     def test_single_vector_errors_name_the_stage(self, stage):
@@ -164,11 +164,12 @@ class TestForward:
         assert str(single_error.value) == f"non-finite values after {stage}"
 
     def test_single_vector_degenerate_policies(self):
+        # inference zeroes a degenerate vector; training raises on it
         model = AssocModel.initialize(7, seed=4)
         zero = np.zeros(7, dtype=np.float32)
+        assert forward(model, zero).tolist() == [0.0] * 7
         with pytest.raises(FloatingPointError, match="row 0"):
-            forward(model, zero)
-        assert forward(model, zero, degenerate="zero").tolist() == [0.0] * 7
+            forward_batch(model, zero[None, :])
 
     def test_gate_saturation_is_pure_normalization(self):
         # float32 logistic saturates to exactly 1.0 at alpha_raw = 20, so the
@@ -195,18 +196,14 @@ class TestForward:
         model = AssocModel.initialize(7, seed=4)
         x = np.ones((3, 7), dtype=np.float32)
         x[1] = 0.0
-        with pytest.raises(FloatingPointError, match="row 1"):
-            forward_batch(model, x, degenerate="raise")
-        out, cache = forward_batch(model, x, degenerate="zero")
+        with pytest.raises(FloatingPointError, match="^degenerate pre-normalization vector at row 1$"):
+            forward_batch(model, x)
+        out, cache = model_module._forward(model, x, keep_cache=True)
         assert cache["degenerate"].tolist() == [1]
+        assert out.tobytes() == model_module._infer(model, x).tobytes()
         assert np.all(out[1] == 0.0)
         for row in (0, 2):
             assert abs(np.linalg.norm(out[row].astype(np.float64)) - 1.0) < 1e-5
-
-    def test_unknown_degenerate_policy(self):
-        model = AssocModel.initialize(4, seed=0)
-        with pytest.raises(ValueError, match="degenerate policy"):
-            forward_batch(model, np.ones((1, 4), dtype=np.float32), degenerate="skip")
 
 
 class TestCopyAstype:
@@ -223,7 +220,7 @@ class TestTransformMatrix:
         model = perturbed_model(9, seed=1)
         data = rng.normal(size=(25, 9)).astype(np.float32)
         m = EmbeddingMatrix(ids=[f"p{i}" for i in range(25)], data=data)
-        whole, _ = forward_batch(model, data, degenerate="zero")
+        whole, _ = forward_batch(model, data)
         t = transform_matrix(model, m, source="unit")
         assert np.array_equal(t.data, whole)
         assert t.ids == m.ids
@@ -237,10 +234,10 @@ class TestTransformMatrix:
 
     @staticmethod
     def serial_transform(model, data, batch=1024):
-        """Reference: one forward_batch per block of `batch` rows, in order."""
+        """Reference: one checked pass per block of `batch` rows, in order."""
         out = np.empty_like(data)
         for start in range(0, data.shape[0], batch):
-            block, _ = forward_batch(model, data[start : start + batch], degenerate="zero")
+            block, _ = model_module._forward(model, data[start : start + batch], keep_cache=True)
             out[start : start + batch] = block
         return out
 
@@ -291,13 +288,13 @@ class TestTransformMatrix:
         assert threading.active_count() == threads
 
     def test_lowest_failing_block_is_raised(self, monkeypatch, three_threads):
-        def failing_forward_batch(model, x, degenerate):
+        def failing_infer(model, x):
             start = int(x[0, 0])
             if start >= 1024:
                 raise FloatingPointError(f"block at row {start}")
-            return x, {}
+            return x
 
-        monkeypatch.setattr(model_module, "forward_batch", failing_forward_batch)
+        monkeypatch.setattr(model_module, "_infer", failing_infer)
         data = np.repeat(np.arange(4000, dtype=np.float32)[:, None], 4, axis=1)
         m = EmbeddingMatrix([f"p{i}" for i in range(4000)], data)
         with pytest.raises(FloatingPointError, match="^block at row 1024$"):

@@ -56,7 +56,7 @@ def pipeline_parts(rng, n=300, d=24, model_seed=0, perturb=True):
 def reference_assoc(model, q, p, tp, mode):
     """Float64 association score of one (query, passage) pair."""
     q = np.asarray(q, dtype=np.float64)
-    fq = forward(model, q.astype(np.float32), degenerate="zero").astype(np.float64)
+    fq = forward(model, q.astype(np.float32)).astype(np.float64)
     p = np.asarray(p, dtype=np.float64)
     tp = np.asarray(tp, dtype=np.float64)
     return {
@@ -195,7 +195,7 @@ class TestScorePool:
         rng = np.random.default_rng(9)
         passages, model, transformed = pipeline_parts(rng)
         q = rng.normal(size=24).astype(np.float32)
-        fq = forward(model, q, degenerate="zero")
+        fq = forward(model, q)
         for mode in SCORING_MODES:
             cfg = RerankConfig(pool_depth=40, cutoff=5, mode=mode)
             scored = score_pool("q0", q, passages, transformed, model, cfg)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from assocrank.embeddings import EmbeddingMatrix
-from assocrank.search import QueryError, _exact_scores, _top_rows, top_k
+from assocrank.search import QueryError, _exact_scores, top_k
 
 
 def matrix_from(data):
@@ -97,9 +97,23 @@ class TestMatchesStableSort:
             assert_matches_stable_sort(q, data, int(rng.integers(1, n + 1)))
 
 
+def overflowing_matrix(scores):
+    """A matrix whose exact scores with `overflowing_query()` are `scores`
+    (a -0.0 comes out as +0.0, which ties the same), and whose prefilter may
+    overflow, so `top_k` scores every row exactly: each row is (score,
+    3e38), and the query's 0 in the second entry leaves the score alone
+    while the 3e38 sets the largest row norm."""
+    big = np.full(scores.size, 3e38, dtype=np.float32)
+    return matrix_from(np.stack([scores.astype(np.float32), big], axis=1))
+
+
+def overflowing_query():
+    return np.array([1.0, 0.0], dtype=np.float32)
+
+
 class TestSelectionOnScores:
-    """Score arrays built directly, to reach values such as -0.0 that a BLAS
-    sum starting from +0.0 never returns."""
+    """Score arrays built directly, through rows whose prefilter overflows,
+    to reach scores such as -inf and NaN tails."""
 
     def test_signed_zeros_infinities_and_nan_tail(self):
         rng = np.random.default_rng(35)
@@ -112,13 +126,15 @@ class TestSelectionOnScores:
                 continue
             k = int(rng.integers(1, not_nan + 1))
             expected = np.argsort(-scores, kind="stable")[:k]
-            assert _top_rows(scores, k).tolist() == expected.tolist()
+            rows, _ = top_k(overflowing_query(), overflowing_matrix(scores), k)
+            assert rows.tolist() == expected.tolist()
 
     def test_too_few_non_nan_scores(self):
         scores = np.array([1.0, np.nan, 0.5, np.nan], dtype=np.float32)
-        assert _top_rows(scores, 2).tolist() == [0, 2]
+        m = overflowing_matrix(scores)
+        assert top_k(overflowing_query(), m, 2)[0].tolist() == [0, 2]
         with pytest.raises(ValueError, match=r"NaN for 2 of 4 passages, leaving fewer than K=3"):
-            _top_rows(scores, 3)
+            top_k(overflowing_query(), m, 3)
 
 
 class TestNaN:

@@ -240,6 +240,32 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**bad).validate()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("adam_beta1", 7.0, "adam_beta1 must be in [0, 1), got 7.0"),
+            ("adam_beta1", 1.0, "adam_beta1 must be in [0, 1), got 1.0"),
+            ("adam_beta1", -0.1, "adam_beta1 must be in [0, 1), got -0.1"),
+            ("adam_beta2", 1.0, "adam_beta2 must be in [0, 1), got 1.0"),
+            ("adam_beta2", math.nan, "adam_beta2 must be in [0, 1), got nan"),
+            ("adam_eps", 0.0, "adam_eps must be finite and > 0, got 0.0"),
+            ("adam_eps", -1e-8, "adam_eps must be finite and > 0, got -1e-08"),
+            ("weight_decay", -0.01, "weight_decay must be finite and >= 0, got -0.01"),
+            ("weight_decay", math.inf, "weight_decay must be finite and >= 0, got inf"),
+            ("temperature", math.nan, "temperature must be finite and > 0, got nan"),
+            ("temperature", math.inf, "temperature must be finite and > 0, got inf"),
+            ("learning_rate", math.nan, "learning_rate must be finite and > 0, got nan"),
+            ("learning_rate", math.inf, "learning_rate must be finite and > 0, got inf"),
+        ],
+    )
+    def test_optimizer_and_loss_settings(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value}).validate()
+        assert str(info.value) == message
+
+    def test_edges_of_the_optimizer_ranges_are_accepted(self):
+        TrainConfig(adam_beta1=0.0, adam_beta2=0.0, weight_decay=0.0).validate()
+
 
 def two_cluster_fixture(seed):
     spec = SyntheticSpec(
