@@ -238,8 +238,8 @@ def cmd_rerank(cfg: dict) -> int:
 
 
 # queries per dense search in eval and sweep: a block's float32 score matrix
-# is 16 x N (6.4 MB at N = 100k)
-_QUERY_BLOCK = 16
+# is 64 x N (25.6 MB at N = 100k); the rows do not depend on the height
+_QUERY_BLOCK = 64
 
 
 def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None, texts: bool = False):

@@ -157,8 +157,8 @@ def evaluate_system(
             ranks[gid] = ranked.index(gid) + 1 if gid in ranked else None
         recall = {k: recall_at_k(ranked, rec.gold_passage_ids, k) for k in ks}
         if texts is not None:
-            ranked_texts = [texts[pid] for pid in ranked]
-            hit = _answer_rank(ranked_texts, rec.gold_answer, max(ks, default=0))
+            limit = max(ks, default=0)
+            hit = _answer_rank([texts[pid] for pid in ranked[:limit]], rec.gold_answer, limit)
             for k in ks:
                 cov_acc[k] += 1.0 if hit < k else 0.0
         questions[rec.question_id] = QuestionResult(
@@ -181,23 +181,30 @@ def easy_hard_split(baseline: SystemEval) -> tuple[set[str], set[str]]:
     return easy, hard
 
 
-def paired_bootstrap_ci(
-    deltas: np.ndarray, resamples: int = 10000, seed: int = 0
-) -> tuple[float, float]:
-    """Percentile bootstrap CI (2.5th / 97.5th) for the mean paired delta."""
+def paired_bootstrap_ci(deltas: np.ndarray, resamples: int = 10000, seed: int = 0):
+    """Percentile bootstrap CI (2.5th / 97.5th) for the mean paired delta.
+
+    `deltas` is one (n,) array, which gives one (low, high) pair, or a
+    (rows, n) array of deltas over the same n items, which gives a list of
+    one pair per row. Every row is resampled with the same index draws, so
+    each row's CI equals the CI of that row on its own with the same seed.
+    """
     d = np.asarray(deltas, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("deltas must be a non-empty 1-D array")
+    if d.ndim not in (1, 2) or d.size == 0:
+        raise ValueError("deltas must be a non-empty 1-D array or a 2-D array of rows")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
+    rows = d.reshape(-1, d.shape[-1])
     rng = np.random.default_rng(seed)
-    means = np.empty(resamples, dtype=np.float64)
+    means = np.empty((len(rows), resamples), dtype=np.float64)
     block = 1000
     for lo in range(0, resamples, block):
         hi = min(lo + block, resamples)
-        idx = rng.integers(0, d.size, size=(hi - lo, d.size))
-        means[lo:hi] = d[idx].mean(axis=1)
-    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+        idx = rng.integers(0, rows.shape[1], size=(hi - lo, rows.shape[1]))
+        for row, out in zip(rows, means):
+            out[lo:hi] = row[idx].mean(axis=1)
+    cis = [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]
+    return cis if d.ndim == 2 else cis[0]
 
 
 @dataclass
@@ -234,13 +241,14 @@ def compare_systems(
     if HIT_K not in ks:
         raise ValueError(f"ks {list(ks)} must include the hit cutoff {HIT_K}")
     qids = sorted(baseline.questions)
-    deltas: dict[int, dict[str, float]] = {}
-    for k in ks:
-        per_q = np.array(
-            [reranked.questions[q].recall[k] - baseline.questions[q].recall[k] for q in qids]
-        )
-        lo, hi = paired_bootstrap_ci(per_q, resamples=resamples, seed=seed)
-        deltas[k] = {"delta": float(per_q.mean()), "ci_low": lo, "ci_high": hi}
+    per_q = np.array(
+        [[reranked.questions[q].recall[k] - baseline.questions[q].recall[k] for q in qids] for k in ks]
+    )
+    cis = paired_bootstrap_ci(per_q, resamples=resamples, seed=seed)
+    deltas = {
+        k: {"delta": float(row.mean()), "ci_low": lo, "ci_high": hi}
+        for k, row, (lo, hi) in zip(ks, per_q, cis)
+    }
 
     easy_ids, hard_ids = easy_hard_split(baseline)
 

@@ -99,16 +99,40 @@ def _text_lines(path: str):
 def _json_objects(path: str, kinds: dict[str, str]):
     """For each non-blank line of a JSON-lines file, its fields named in
     `kinds`, each checked as its type by `check_type`. A line that is not
-    UTF-8, not valid JSON, not a JSON object or missing a field raises
-    ValueError naming path:lineno."""
+    UTF-8, not valid JSON (an integer too long to convert included), not a
+    JSON object or missing a field raises ValueError naming path:lineno.
+
+    Each line is decoded once. A line that decodes to one object ending at
+    the line's end, with every field present and every "str" field a string,
+    yields at once (its other fields still go through `check_type`). Any
+    other line is parsed again by `json.loads` and checked field by field,
+    which raises the error that names its fault."""
+    decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(_text_lines(path), 1):
         line = line.strip()
         if not line:
             continue
+        try:
+            raw, end = decode(line)
+        except ValueError:
+            end = -1
+        # plain loops: a comprehension per line costs more than the checks
+        if end == len(line) and type(raw) is dict and kinds.keys() <= raw.keys():
+            values = {}
+            for name, kind in kinds.items():
+                value = raw[name]
+                if kind != "str":
+                    value = check_type(f"{path}:{lineno}: {name}", value, kind)
+                elif type(value) is not str:
+                    break
+                values[name] = value
+            else:
+                yield values
+                continue
         where = f"{path}:{lineno}"
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"{where}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{where}: not a JSON object")

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.pairs import QuestionRecord
@@ -62,8 +62,8 @@ class SyntheticSpec:
                 f"bridge_offset_rank {self.bridge_offset_rank} out of range for "
                 f"{self.n_passages} passages"
             )
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0.0 <= self.noise_scale < math.inf:  # NaN fails it too
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
     @property
     def clusters(self) -> int:
@@ -98,7 +98,7 @@ def _bridge_beta(spec: SyntheticSpec) -> float:
     mates = math.ceil(spec.n_questions / spec.clusters)
     target = max(spec.bridge_offset_rank - mates, 0.5)
     quantile = 1.0 - target / spec.n_passages
-    beta = float(norm.ppf(quantile)) / math.sqrt(spec.dim)
+    beta = float(ndtri(quantile)) / math.sqrt(spec.dim)
     return float(np.clip(beta, 0.05, 0.9))
 
 

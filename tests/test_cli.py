@@ -461,6 +461,14 @@ class TestErrors:
         assert err == f"error: config: {key}: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("value, shown", [("1e400", "inf"), ("NaN", "nan"), ("-0.5", "-0.5")])
+    def test_noise_scale_must_be_finite(self, tmp_path, capsys, value, shown):
+        # JSON reads 1e400 as inf and NaN as nan; either would make a NaN corpus
+        argv = _synth_args(tmp_path) + ["--set", f"synth.noise_scale={value}"]
+        err = self.run_expecting_error(argv, capsys, "")
+        assert err == f"error: config: bad synth config: noise_scale must be finite and >= 0, got {shown}\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_number_too_large_for_a_float(self, pipeline, tmp_path, capsys, digits):
         # 400 digits parse as a JSON integer that float() cannot hold; 5000
@@ -775,6 +783,20 @@ class TestConsoleScript:
         assert proc.stderr.count("\n") == 1, proc.stderr  # single-line stderr
         assert proc.stderr.startswith("error: "), proc.stderr
         assert os.listdir(bad) == []
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone adds about a second to every command's start-up
+        package_root = str(Path(assocrank.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, assocrank.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(
         shutil.which("assocrank") is None, reason="no assocrank console script on PATH"

@@ -303,6 +303,14 @@ class TestEvaluateSystem:
         with pytest.raises(ValueError, match="empty string"):
             evaluate_system("dense", rankings, [record("q0", ["p0"], answer="the")], ks, texts)
 
+    def test_coverage_reads_texts_of_the_top_max_k_only(self):
+        records, baseline, _ = rankings_fixture()
+        texts = {pid: f"text about {pid}" for pid in "ABCDEXYZWV"}
+        want = evaluate_system("dense", baseline, records, ks=(1, 2), texts=texts).coverage_at
+        top = {pid for ranked in baseline.values() for pid in ranked[:2]}
+        partial = {pid: texts[pid] for pid in top}
+        assert evaluate_system("dense", baseline, records, ks=(1, 2), texts=partial).coverage_at == want
+
     def test_missing_ranking_and_empty_records(self):
         records, baseline, _ = rankings_fixture()
         with pytest.raises(ValueError, match="no records"):
@@ -347,6 +355,25 @@ class TestEasyHardAndCompare:
         r = evaluate_system("rerank", reranked, records[:2], ks=(5,))
         with pytest.raises(ValueError, match="different question sets"):
             compare_systems(b, r, ks=(5,))
+
+    def test_cis_equal_one_bootstrap_per_k(self):
+        # compare_systems draws its resamples once for all ks; each k's CI
+        # must equal paired_bootstrap_ci on that k's deltas alone, bit for bit
+        rng = np.random.default_rng(21)
+        ids = [f"p{i}" for i in range(40)]
+        records = [record(f"q{i}", rng.choice(ids, size=3, replace=False)) for i in range(60)]
+        b_rank = {r.question_id: [ids[j] for j in rng.permutation(40)] for r in records}
+        r_rank = {r.question_id: [ids[j] for j in rng.permutation(40)] for r in records}
+        ks = (5, 10, 20)
+        b = evaluate_system("dense", b_rank, records, ks)
+        r = evaluate_system("rerank", r_rank, records, ks)
+        report = compare_systems(b, r, ks, resamples=2345, seed=9)
+        qids = sorted(b.questions)
+        for k in ks:
+            d = np.array([r.questions[q].recall[k] - b.questions[q].recall[k] for q in qids])
+            lo, hi = paired_bootstrap_ci(d, resamples=2345, seed=9)
+            assert (report.deltas[k]["ci_low"], report.deltas[k]["ci_high"]) == (lo, hi)
+            assert report.deltas[k]["delta"] == float(d.mean())
 
     def test_hit_cutoff_required(self):
         assert evaluation.HIT_K == 5

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from assocrank import pairs
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.pairs import (
     AssocPairSet,
     QuestionRecord,
     canonical,
+    check_type,
     extract_pairs,
     load_pairs,
     load_records,
@@ -336,6 +338,140 @@ class TestTextsIo:
         with pytest.raises(ValueError) as info:
             load_texts(str(path))
         assert str(info.value) == f"{path}:2: {message}"
+
+
+TEXT_KINDS = {"passage_id": "str", "text": "str"}
+RECORD_KINDS = {
+    "question_id": "str",
+    "question_text": "str",
+    "gold_passage_ids": "list[str]",
+    "gold_answer": "str",
+    "split": "str",
+}
+
+
+def reference_objects(path, kinds):
+    """The JSON-lines reader's contract, one `json.loads` per line: the list
+    of checked fields, or the error text of the first bad line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                raw = json.loads(line)
+            except ValueError as exc:
+                return f"{where}: invalid JSON ({exc})"
+            if not isinstance(raw, dict):
+                return f"{where}: not a JSON object"
+            missing = [name for name in kinds if name not in raw]
+            if missing:
+                return f"{where}: missing field {missing[0]!r}"
+            try:
+                out.append({name: check_type(f"{where}: {name}", raw[name], kind) for name, kind in kinds.items()})
+            except ValueError as exc:
+                return str(exc)
+    return out
+
+
+def outcome(read):
+    try:
+        return read()
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_string(rng):
+    alphabet = ["a", "Z", " ", '"', "\\", "\u2028", "\u00e9", "\t", "\u0085", "{", "}", ","]
+    return "".join(rng.choice(alphabet, size=int(rng.integers(0, 6))))
+
+
+def random_line(rng, kinds, ids):
+    """One line of a JSON-lines file: usually a good object (fields in any
+    order, extra keys, raw or escaped non-ASCII), else one kind of bad line."""
+    obj = {}
+    for name, kind in kinds.items():
+        if kind == "str":
+            obj[name] = str(rng.choice(ids)) if name.endswith("_id") else random_string(rng)
+        else:
+            obj[name] = [str(rng.choice(ids)) for _ in range(int(rng.integers(0, 3)))]
+    if rng.random() < 0.3:
+        obj["extra"] = [random_string(rng), {"n": 1.5}]
+    names = list(obj)
+    obj = {name: obj[name] for name in rng.permutation(names)}
+    ascii_only = bool(rng.random() < 0.5)
+    good = json.dumps(obj, ensure_ascii=ascii_only)
+    field_name = str(rng.choice(list(kinds)))
+    bad = {
+        "blank": "",
+        "spaces": " \t ",
+        "padded": f"  {good}\t",
+        "truncated": good[: int(rng.integers(1, len(good)))],
+        "two objects": f"{good}, {good}",
+        "trailing data": f"{good} x",
+        "array": f"[{good}]",
+        "number": "12",
+        "string": json.dumps(random_string(rng)),
+        "null": "null",
+        "missing": json.dumps({k: v for k, v in obj.items() if k != field_name}),
+        "wrong type": json.dumps({**obj, field_name: [1, None, True][int(rng.integers(3))]}),
+        "long integer": json.dumps({**obj, field_name: 0}).replace(": 0", ": 1" + "0" * 5000, 1),
+        "nan": json.dumps({**obj, field_name: float("nan")}),
+        "duplicate key": good[:-1] + f', "{field_name}": 7}}',
+        "duplicate key fixed": f'{{"{field_name}": 7, ' + good[1:],
+        "bom": "\ufeff" + good,
+        "open bracket": good[:-1] + ', "x": [{}',
+        "close bracket": "{}]}",
+        "line separator": good + "\u2028",
+    }
+    if rng.random() < 0.75:
+        return good
+    return bad[str(rng.choice(list(bad)))]
+
+
+class TestJsonLinesReader:
+    def test_two_objects_on_one_line_fail_at_that_line(self, tmp_path):
+        # joined into one array, these three lines would parse as three
+        # objects; read line by line, line 1 holds extra data
+        path = tmp_path / "texts.jsonl"
+        first = '{"passage_id":"a","text":"x"}, {"passage_id":"b","text":"y"}'
+        path.write_text(first + '\n{"passage_id":"c","text":"z","x":[{}\n{}]}\n')
+        with pytest.raises(json.JSONDecodeError) as parsed:
+            json.loads(first)
+        assert str(parsed.value).startswith("Extra data")
+        with pytest.raises(ValueError) as info:
+            load_texts(str(path))
+        assert str(info.value) == f"{path}:1: invalid JSON ({parsed.value})"
+
+    @pytest.mark.parametrize("load", [load_records, load_texts])
+    def test_integer_too_long_to_convert_reports_line(self, tmp_path, load):
+        path = tmp_path / "file.jsonl"
+        path.write_text('\n{"question_id": 1' + "0" * 5000 + ', "passage_id": "p"}\n')
+        with pytest.raises(ValueError) as info:
+            load(str(path))
+        assert str(info.value).startswith(f"{path}:2: invalid JSON (Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("kinds", [TEXT_KINDS, RECORD_KINDS], ids=["texts", "records"])
+    def test_matches_a_per_line_json_loads_reader(self, tmp_path, kinds):
+        rng = np.random.default_rng(31)
+        ids = [f"p{i}" for i in range(6)] + ["\u2028", "q\u00e9"]
+        path = tmp_path / "file.jsonl"
+        failures = 0
+        for trial in range(300):
+            lines = [random_line(rng, kinds, ids) for _ in range(int(rng.integers(0, 7)))]
+            newline = "\r\n" if rng.random() < 0.3 else "\n"
+            path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode() * int(rng.integers(0, 2)))
+            want = reference_objects(str(path), kinds)
+            got = outcome(lambda: list(pairs._json_objects(str(path), kinds)))
+            assert got == want, (trial, lines)
+            if kinds is TEXT_KINDS and not isinstance(want, str):
+                # a repeated id keeps its first place and its last text
+                want_texts = {v["passage_id"]: v["text"] for v in want}
+                assert list(load_texts(str(path)).items()) == list(want_texts.items())
+            failures += isinstance(want, str)
+        assert 50 < failures < 250
 
 
 def save_and_read(recs, path):
