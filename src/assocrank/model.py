@@ -24,18 +24,16 @@ with each weight matrix stored row-major as (d_out, d_in).
 
 from __future__ import annotations
 
-import contextvars
 import io
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 from assocrank.embeddings import EmbeddingMatrix, write_atomic
+from assocrank.parallel import map_chunks
 
 MODEL_MAGIC = b"AARM"
 MODEL_VERSION = 1
@@ -144,10 +142,11 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     """f of each row of x: (outputs, cache), the cache None unless `keep_cache`.
 
     A row whose pre-normalization blend has norm <= 1e-12 comes out as zeros
-    and is listed in cache["degenerate"]. With the cache, finiteness is
-    checked after every affine map and layernorm, raising
-    FloatingPointError("non-finite values after <stage>"). Without it
-    nothing is checked, and the caller checks the output once.
+    and is listed in cache["degenerate"]. A row whose norm overflows as a sum
+    of squares is normalized after scaling by its largest entry. With the
+    cache, finiteness is checked after every affine map and layernorm,
+    raising FloatingPointError("non-finite values after <stage>"). Without
+    it nothing is checked, and the caller checks the output once.
     """
     x = np.ascontiguousarray(x, dtype=model.dtype)
     if x.ndim != 2 or x.shape[1] != model.dim:
@@ -184,6 +183,14 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     f = u / safe
     if degenerate_rows.size:
         f[degenerate_rows] = 0.0
+    overflowed = np.isinf(norms[:, 0]).nonzero()[0]
+    if overflowed.size:
+        # scaled by its largest |u|, such a row's squares stay finite
+        scale = np.abs(u[overflowed]).max(axis=1, keepdims=True)
+        scaled = u[overflowed] / scale
+        length = np.sqrt((scaled * scaled).sum(axis=1, keepdims=True))
+        f[overflowed] = scaled / length
+        safe[overflowed] = scale * length
     if not keep_cache:
         return f, None
     cache = {
@@ -287,62 +294,22 @@ def transform_matrix(
 ) -> TransformedMatrix:
     """Apply f to every row. Row order and ids match the source matrix.
 
-    Each block of `_TRANSFORM_BLOCK` rows is one inference pass, run on a
-    thread pool with one thread per usable CPU that BLAS leaves free (see
-    `_pool_size`). The bits depend on the block size but not on the thread
-    count. The caller's numpy error state applies in every thread, and an
-    error is raised from the lowest failing block.
+    Each block of `_TRANSFORM_BLOCK` rows is one inference pass, run by
+    `parallel.map_chunks` on the caller and the helpers that BLAS leaves CPUs
+    for. The bits depend on the block size but not on the thread count. The
+    caller's numpy error state applies in every thread, and an error is
+    raised from the lowest failing block.
     """
     if matrix.dim != model.dim:
         raise ValueError(f"matrix dim {matrix.dim} does not match model dim {model.dim}")
     out = np.empty_like(matrix.data)
-    starts = range(0, matrix.rows, _TRANSFORM_BLOCK)
-    context = contextvars.copy_context()
 
-    def run_block(start: int) -> None:
-        rows = slice(start, start + _TRANSFORM_BLOCK)
-        # a Context can be entered by one thread at a time, so each block gets a copy
-        out[rows] = context.copy().run(_infer, model, matrix.data[rows])
+    def run_block(block: int) -> None:
+        rows = slice(block * _TRANSFORM_BLOCK, (block + 1) * _TRANSFORM_BLOCK)
+        out[rows] = _infer(model, matrix.data[rows])
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(starts))) as pool:
-        for _ in pool.map(run_block, starts):
-            pass
+    map_chunks(run_block, -(-matrix.rows // _TRANSFORM_BLOCK))
     return TransformedMatrix(source=source, ids=list(matrix.ids), data=out)
-
-
-def _pool_size(blocks: int) -> int:
-    """Threads for `blocks` blocks: the usable CPUs that BLAS leaves free,
-    at least one and at most one per block.
-
-    Every block's matmuls run on BLAS's own threads, and pool threads beside
-    them compete with them for the CPUs: on a 2-CPU VM with BLAS on two
-    threads, two pool threads transformed 100k x 64 rows in about 1.1 s and
-    one in 0.8 s; with BLAS on one thread, two took 0.4 s.
-    """
-    return max(1, min(_usable_cpus() // _BLAS_THREADS, blocks))
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    """Threads BLAS runs a large matmul on, read as OpenBLAS (the BLAS that
-    numpy's wheels bundle) reads it when it loads: the first positive number
-    in these variables, else one thread per CPU, never more than the CPUs."""
-    cpus = _usable_cpus()
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
-    return cpus
-
-
-_BLAS_THREADS = _blas_threads()  # numpy, imported above, has loaded BLAS
 
 
 def save_model(model: AssocModel, path: str) -> None:

@@ -99,8 +99,9 @@ def _text_lines(path: str):
 def _json_objects(path: str, kinds: dict[str, str]):
     """For each non-blank line of a JSON-lines file, its fields named in
     `kinds`, each checked as its type by `check_type`. A line that is not
-    UTF-8, not valid JSON (an integer too long to convert included), not a
-    JSON object or missing a field raises ValueError naming path:lineno.
+    UTF-8, not valid JSON (an integer too long to convert and arrays nested
+    too deep to decode included), not a JSON object or missing a field raises
+    ValueError naming path:lineno.
 
     Each line is decoded once. A line that decodes to one object ending at
     the line's end, with every field present and every "str" field a string,
@@ -114,7 +115,7 @@ def _json_objects(path: str, kinds: dict[str, str]):
             continue
         try:
             raw, end = decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             end = -1
         # plain loops: a comprehension per line costs more than the checks
         if end == len(line) and type(raw) is dict and kinds.keys() <= raw.keys():
@@ -132,7 +133,7 @@ def _json_objects(path: str, kinds: dict[str, str]):
         where = f"{path}:{lineno}"
         try:
             raw = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{where}: not a JSON object")

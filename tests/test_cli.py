@@ -566,6 +566,21 @@ class TestErrors:
         assert "Traceback" not in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("key", ["records", "texts"])
+    def test_input_nested_too_deep_to_decode(self, pipeline, tmp_path, capsys, key):
+        _, cfg, config_path = pipeline
+        lines = Path(cfg[key]).read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / f"{key}.jsonl"
+        nested = "[" * 100_000 + "]" * 100_000
+        bad.write_text("\n".join(lines[:2] + ['{"x": ' + nested + "}"] + lines[2:]) + "\n")
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--config", str(config_path), "--set", f"{key}={bad}"]
+        argv += ["--set", f"eval.out={out}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, "")
+        assert err.startswith(f"error: ValueError: {bad}:3: invalid JSON (maximum recursion depth")
+        assert not out.exists()
+
     def test_texts_without_a_passage_fail_before_scoring(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):

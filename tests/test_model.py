@@ -3,13 +3,13 @@
 import math
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from assocrank import model as model_module
+from assocrank import parallel
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import (
     LN_EPS,
@@ -205,6 +205,36 @@ class TestForward:
         for row in (0, 2):
             assert abs(np.linalg.norm(out[row].astype(np.float64)) - 1.0) < 1e-5
 
+    # the layernorm's variance overflows for these rows too, under
+    # forward_batch's default error state
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_blend_whose_squares_overflow_comes_out_unit_norm(self):
+        model = perturbed_model(64, seed=9)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(5, 64)).astype(np.float32)
+        x[2] = 1e20
+        x[4] = rng.normal(size=64) * 1e19
+        _, cache = model_module._forward(model, x, keep_cache=True)
+        with np.errstate(over="ignore"):
+            assert np.isinf((cache["u"] * cache["u"]).sum(axis=1)).tolist() == [0, 0, 1, 0, 1]
+        u = cache["u"].astype(np.float64)
+        expected = u / np.linalg.norm(u, axis=1, keepdims=True)
+        batch, _ = forward_batch(model, x)
+        transformed = transform_matrix(model, EmbeddingMatrix([f"p{i}" for i in range(5)], x)).data
+        for out in (batch, transformed, np.stack([forward(model, row) for row in x])):
+            assert np.abs(out - expected).max() < 1e-6
+        # the other rows keep the bits they have beside rows of ordinary size
+        ordinary = x.copy()
+        ordinary[[2, 4]] = 1.0
+        assert batch[[0, 1, 3]].tobytes() == forward_batch(model, ordinary)[0][[0, 1, 3]].tobytes()
+
+    def test_a_constant_1e20_vector_comes_out_unit_norm(self):
+        model = AssocModel.initialize(64, seed=0)
+        x = np.full(64, 1e20, np.float32)
+        out = forward(model, x)
+        assert np.isfinite(out).all()
+        assert abs(np.linalg.norm(out.astype(np.float64)) - 1.0) < 1e-6
+
 
 class TestCopyAstype:
     def test_astype_dtype(self):
@@ -242,10 +272,8 @@ class TestTransformMatrix:
         return out
 
     @pytest.fixture
-    def three_threads(self, monkeypatch):
-        """A pool of up to three threads, whatever this machine's CPUs and BLAS."""
-        monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(model_module, "_BLAS_THREADS", 1)
+    def three_threads(self, pool_of):
+        pool_of(3)
 
     @pytest.mark.parametrize("n", [1, 1024, 1025, 2500])
     def test_threaded_blocks_equal_the_serial_loop(self, n, three_threads):
@@ -305,20 +333,26 @@ class TestTransformMatrix:
         [(2, 2, 1), (2, 1, 2), (1, 1, 1), (8, 2, 3), (8, 3, 2), (3, 4, 1)],
     )
     def test_pool_leaves_blas_its_cpus(self, monkeypatch, cpus, blas, workers):
-        sizes = []
+        sizes, ran_on = [], set()
+        pool_size, infer = parallel._pool_size, model_module._infer
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        def recording_pool_size(chunks):
+            sizes.append(pool_size(chunks))
+            return sizes[-1]
 
-        monkeypatch.setattr(model_module, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(model_module, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(model_module, "_BLAS_THREADS", blas)
+        def recording_infer(model, x):
+            ran_on.add(threading.get_ident())
+            return infer(model, x)
+
+        monkeypatch.setattr(parallel, "_pool_size", recording_pool_size)
+        monkeypatch.setattr(model_module, "_infer", recording_infer)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_BLAS_THREADS", blas)
         data = np.random.default_rng(2).normal(size=(2500, 4)).astype(np.float32)
         model = AssocModel.initialize(4, seed=0)
         t = transform_matrix(model, EmbeddingMatrix([f"p{i}" for i in range(2500)], data))
         assert sizes == [workers]  # never more than the 3 blocks
+        assert 1 <= len(ran_on) <= workers
         assert t.data.tobytes() == self.serial_transform(model, data).tobytes()
 
     # each case matches the number of threads numpy's OpenBLAS started on 2 CPUs
@@ -341,8 +375,8 @@ class TestTransformMatrix:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
-        assert model_module._blas_threads() == threads
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        assert parallel._blas_threads() == threads
 
 
 class TestCheckpoint:

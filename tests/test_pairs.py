@@ -453,6 +453,17 @@ class TestJsonLinesReader:
             load(str(path))
         assert str(info.value).startswith(f"{path}:2: invalid JSON (Exceeds the limit (4300 digits)")
 
+    @pytest.mark.parametrize("load", [load_records, load_texts])
+    def test_arrays_nested_too_deep_to_decode_report_line(self, tmp_path, load):
+        path = tmp_path / "file.jsonl"
+        nested = "[" * 100_000 + "]" * 100_000
+        path.write_text('\n{"passage_id": ' + nested + "}\n")
+        with pytest.raises(RecursionError) as decoded:
+            json.loads(nested)
+        with pytest.raises(ValueError) as info:
+            load(str(path))
+        assert str(info.value) == f"{path}:2: invalid JSON ({decoded.value})"
+
     @pytest.mark.parametrize("kinds", [TEXT_KINDS, RECORD_KINDS], ids=["texts", "records"])
     def test_matches_a_per_line_json_loads_reader(self, tmp_path, kinds):
         rng = np.random.default_rng(31)

@@ -8,10 +8,17 @@ tie-heavy, and a query's result must not depend on the block of queries
 it is searched in.
 """
 
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from assocrank import parallel, search
 from assocrank.embeddings import EmbeddingMatrix
+from assocrank.model import AssocModel, transform_matrix
 from assocrank.search import QueryError, _exact_scores, top_k
 
 
@@ -240,3 +247,190 @@ class TestBlocks:
         expected_rows, expected_scores = exact_top_k(q, data, 3)
         assert rows.tolist() == expected_rows.tolist() == [1, 2, 0]
         assert scores.tobytes() == expected_scores.tobytes()
+
+
+def assert_equals_exact_top_k(queries, data, k, got):
+    """`got` is top_k's result for one query or a block; each query's rows
+    and score bytes must equal the stable sort of its exact scores."""
+    rows, scores = got
+    for i, q in enumerate(np.atleast_2d(queries)):
+        expected_rows, expected_scores = exact_top_k(q, data, k)
+        assert np.atleast_2d(rows)[i].tolist() == expected_rows.tolist()
+        assert np.atleast_2d(scores)[i].tobytes() == expected_scores.tobytes()
+
+
+class TestChunks:
+    """The passages searched in chunks of contiguous rows on pools of two
+    and three threads, and unsplit on a pool of one. `_CHUNK_ENTRIES` is
+    shrunk to 16 rows of d = 4, except where a test says otherwise."""
+
+    D, ROWS = 4, 16
+
+    @pytest.fixture(params=[1, 2, 3])
+    def threads(self, request, pool_of, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_ENTRIES", self.ROWS * self.D)
+        pool_of(request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 7 * ROWS + 5])
+    def test_rows_and_scores_equal_the_exact_reference(self, threads, n):
+        rng = np.random.default_rng(n)
+        # small integers, so that many scores tie, within and across chunks
+        data = rng.integers(-2, 3, size=(n, self.D)).astype(np.float32)
+        queries = rng.integers(-2, 3, size=(6, self.D)).astype(np.float32)
+        m = matrix_from(data)
+        # K = 6 leaves the last chunk of 2 * ROWS + 1 rows, and of ROWS + 1,
+        # with fewer rows than K
+        for k in sorted({1, 6, n // 2 + 1, n}):
+            for q in queries:
+                assert_equals_exact_top_k(q, data, k, top_k(q, m, k))
+            assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
+
+    def test_real_chunk_size(self, pool_of):
+        pool_of(2)
+        d = 64
+        rows = search._CHUNK_ENTRIES // d
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=(2 * rows + 1, d)).astype(np.float32)
+        queries = rng.normal(size=(3, d)).astype(np.float32)
+        # the best rows sit in the last chunk, which holds one row, and on
+        # both sides of the first boundary
+        data[[rows - 1, rows, 2 * rows]] = queries[0] * 2
+        m = matrix_from(data)
+        for k in (1, 5, 100):
+            assert_equals_exact_top_k(queries[0], data, k, top_k(queries[0], m, k))
+            assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
+        assert top_k(queries[0], m, 3)[0].tolist() == [rows - 1, rows, 2 * rows]
+
+    def test_equal_rows_across_a_boundary_go_to_the_lower_row(self, threads):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(4 * self.ROWS, self.D)).astype(np.float32)
+        q = rng.normal(size=self.D).astype(np.float32)
+        best = q * 4
+        tied = [self.ROWS + 1, self.ROWS - 1, 3 * self.ROWS, self.ROWS]  # not in row order
+        data[tied] = best
+        m = matrix_from(data)
+        for k in range(1, 5):
+            rows, _ = top_k(q, m, k)
+            assert rows.tolist() == sorted(tied)[:k]
+            block_rows, _ = top_k(np.stack([q, -q, q]), m, k)
+            assert block_rows[0].tolist() == block_rows[2].tolist() == sorted(tied)[:k]
+
+    def test_a_non_finite_prefilter_in_a_block_scores_every_row_exactly(self, threads):
+        rng = np.random.default_rng(5)
+        n = 3 * self.ROWS + 2
+        data = rng.normal(size=(n, self.D)).astype(np.float32)
+        data[self.ROWS + 3] = [3e30, -3e30, 1e30, 0.0]
+        queries = rng.normal(size=(4, self.D)).astype(np.float32)
+        queries[2] = 2e10  # its float32 products overflow, its float64 ones do not
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(data @ queries[2]).all()
+        m = matrix_from(data)
+        for k in (1, 7, n):
+            assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
+
+    def test_many_rows_within_eps_of_the_kth_score(self, threads, monkeypatch):
+        # as in TestBlocks, with the near-copies in the second of two chunks,
+        # so that its window, not only the union's, must reach 2 * eps
+        monkeypatch.setattr(search, "_CHUNK_ENTRIES", 512 * 64)
+        rng = np.random.default_rng(41)
+        d, k = 64, 50
+        q = rng.normal(size=d).astype(np.float32)
+        near = (q.astype(np.float64) + 1e-6 * rng.normal(size=(400, d))).astype(np.float32)
+        far = (0.1 * rng.normal(size=(600, d))).astype(np.float32)
+        data = np.concatenate([far[:512], near, far[512:]])
+        prefilter_rows = np.argsort(-(data @ q), kind="stable")[:k]
+        assert prefilter_rows.tolist() != exact_top_k(q, data, k)[0].tolist()
+        m = matrix_from(data)
+        assert_equals_exact_top_k(q, data, k, top_k(q, m, k))
+        queries = np.stack([q, q[::-1], q])
+        assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
+
+    def test_a_nan_query_is_named_by_its_block_index(self, threads):
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(3 * self.ROWS, self.D)).astype(np.float32)
+        queries = rng.normal(size=(5, self.D)).astype(np.float32)
+        queries[3, 1] = np.nan
+        with pytest.raises(QueryError, match=f"NaN for {3 * self.ROWS} of {3 * self.ROWS}") as info:
+            top_k(queries, matrix_from(data), 2)
+        assert info.value.index == 3
+
+    def test_a_held_helper_does_not_stall_a_search(self, pool_of, monkeypatch):
+        # every helper of the pool, and one more thread, each run a chunk
+        # that waits on `hold`; the search then finds no helper free
+        monkeypatch.setattr(search, "_CHUNK_ENTRIES", self.ROWS * self.D)
+        pool_of(2)
+        helpers = parallel._POOL._helpers
+        hold, started = threading.Event(), threading.Semaphore(0)
+
+        def held(chunk):
+            started.release()
+            assert hold.wait(timeout=60)
+
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: helpers + 1)
+        holder = threading.Thread(target=parallel.map_chunks, args=(held, helpers + 1))
+        holder.start()
+        try:
+            for _ in range(helpers + 1):
+                assert started.acquire(timeout=30)
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+            ran_on = []
+            limit = search._limit
+
+            def recording_limit(*args):
+                ran_on.append(threading.get_ident())
+                return limit(*args)
+
+            monkeypatch.setattr(search, "_limit", recording_limit)
+            rng = np.random.default_rng(8)
+            data = rng.normal(size=(5 * self.ROWS, self.D)).astype(np.float32)
+            q = rng.normal(size=self.D).astype(np.float32)
+            found = {}
+            searcher = threading.Thread(target=lambda: found.update(top=top_k(q, matrix_from(data), 3)))
+            searcher.start()
+            searcher.join(timeout=30)
+            assert not searcher.is_alive()
+            # the searching thread ran all 5 chunks, and then the union
+            assert ran_on == [searcher.ident] * 6
+            assert_equals_exact_top_k(q, data, 3, found["top"])
+        finally:
+            hold.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() beside threads
+    def test_a_forked_child_searches_and_transforms(self, pool_of, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_ENTRIES", self.ROWS * self.D)
+        pool_of(2)
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(5 * self.ROWS, self.D)).astype(np.float32)
+        queries = rng.normal(size=(3, self.D)).astype(np.float32)
+        m = matrix_from(data)
+        model = AssocModel.initialize(self.D, seed=1)
+        wide = matrix_from(rng.normal(size=(3000, self.D)).astype(np.float32))
+        rows, scores = top_k(queries, m, 4)  # the parent's pool has started
+        transformed = transform_matrix(model, wide).data
+        pid = os.fork()
+        if pid == 0:
+            try:
+                # two chunks that wait for each other need a live helper
+                both = threading.Barrier(2, timeout=30)
+                parallel.map_chunks(lambda chunk: both.wait(), 2)
+                child_rows, child_scores = top_k(queries, m, 4)
+                child_transformed = transform_matrix(model, wide).data
+                same = (
+                    child_rows.tobytes() == rows.tobytes()
+                    and child_scores.tobytes() == scores.tobytes()
+                    and child_transformed.tobytes() == transformed.tobytes()
+                )
+                os._exit(0 if same else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
