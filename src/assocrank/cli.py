@@ -179,15 +179,8 @@ def cmd_train(cfg: dict) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     save_model(model, require(cfg, "checkpoint"))
-    payload = report.to_json_dict()
-    payload = {
-        "epoch_losses": payload["epoch_losses"],
-        "epochs_run": payload["epochs_run"],
-        "final_train_accuracy": payload["final_train_accuracy"],
-        "timing": {"wall_time": payload["wall_time"]},
-    }
     if report_path is not None:
-        write_json(report_path, payload)
+        write_json(report_path, report.to_json_dict())
     print(
         json.dumps(
             {

@@ -2,8 +2,8 @@
 
 Recall@k counts gold passages in the top k; Coverage@k checks whether the
 normalized gold answer appears as a substring of any normalized top-k passage
-text. Answer-string metrics share one normalizer: lowercase, drop standalone
-article tokens (a, an, the), strip punctuation, collapse whitespace, trim.
+text. The normalizer lowercases, drops standalone article tokens (a, an,
+the), strips punctuation, collapses whitespace and trims.
 Uncertainty on paired deltas comes from a seeded percentile bootstrap.
 """
 
@@ -38,36 +38,6 @@ def qa_normalize(text: str) -> str:
     return out
 
 
-def em_and_f1(prediction: str, gold: str) -> tuple[float, float]:
-    """Exact match and token-multiset F1 over normalized strings.
-
-    Both empty after normalization scores (1, 1); exactly one empty scores
-    (0, 0).
-    """
-    p = qa_normalize(prediction)
-    g = qa_normalize(gold)
-    if not p and not g:
-        return 1.0, 1.0
-    if not p or not g:
-        return 0.0, 0.0
-    em = 1.0 if p == g else 0.0
-    p_tokens = p.split()
-    g_tokens = g.split()
-    common = 0
-    remaining = {}
-    for tok in g_tokens:
-        remaining[tok] = remaining.get(tok, 0) + 1
-    for tok in p_tokens:
-        if remaining.get(tok, 0) > 0:
-            remaining[tok] -= 1
-            common += 1
-    if common == 0:
-        return em, 0.0
-    precision = common / len(p_tokens)
-    recall = common / len(g_tokens)
-    return em, 2.0 * precision * recall / (precision + recall)
-
-
 def recall_at_k(ranked_ids: list[str], gold_ids: list[str], k: int) -> float:
     """Fraction of the gold set present in the top k."""
     if k < 1:
@@ -76,13 +46,6 @@ def recall_at_k(ranked_ids: list[str], gold_ids: list[str], k: int) -> float:
     if not gold:
         raise ValueError("empty gold set")
     return len(gold & set(ranked_ids[:k])) / len(gold)
-
-
-def coverage_at_k(ranked_texts: list[str], answer: str, k: int) -> float:
-    """1.0 if the normalized answer occurs in any normalized top-k text."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return 1.0 if _answer_rank(ranked_texts, answer, k) < k else 0.0
 
 
 def _answer_rank(ranked_texts: list[str], answer: str, limit: int) -> int:

@@ -142,8 +142,9 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     """f of each row of x: (outputs, cache), the cache None unless `keep_cache`.
 
     A row whose pre-normalization blend has norm <= 1e-12 comes out as zeros
-    and is listed in cache["degenerate"]. A row whose norm overflows as a sum
-    of squares is normalized after scaling by its largest entry. With the
+    and is listed in cache["degenerate"]. A row whose layernorm variance or
+    blend norm overflows as a sum of squares is normalized again after
+    scaling by its largest entry; other rows keep their bits. With the
     cache, finiteness is checked after every affine map and layernorm,
     raising FloatingPointError("non-finite values after <stage>"). Without
     it nothing is checked, and the caller checks the output once.
@@ -164,6 +165,15 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
         var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
         inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
         xhat = centered * inv_sigma
+        overflowed = np.isinf(var[:, 0]).nonzero()[0]
+        if overflowed.size:
+            # scaled by its largest |entry|, such a row's squares stay finite;
+            # LN_EPS / scale**2 is far below the scaled variance's last bit
+            scale = np.abs(centered[overflowed]).max(axis=1, keepdims=True)
+            scaled = centered[overflowed] / scale
+            sigma = np.sqrt(np.add.reduce(scaled * scaled, axis=1, keepdims=True) / d)
+            xhat[overflowed] = scaled / sigma
+            inv_sigma[overflowed] = 1.0 / (scale * sigma)
         y = xhat * model.ln_scales[i] + model.ln_shifts[i]
         if keep_cache:
             _check_finite(y, f"layernorm {i}")
@@ -282,7 +292,6 @@ class TransformedMatrix:
     """Passage matrix pushed through f once, for reuse at query time."""
 
     source: str
-    ids: list[str]
     data: np.ndarray
 
 
@@ -292,7 +301,7 @@ _TRANSFORM_BLOCK = 1024
 def transform_matrix(
     model: AssocModel, matrix: EmbeddingMatrix, source: str = ""
 ) -> TransformedMatrix:
-    """Apply f to every row. Row order and ids match the source matrix.
+    """Apply f to every row, in the source matrix's row order.
 
     Each block of `_TRANSFORM_BLOCK` rows is one inference pass, run by
     `parallel.map_chunks` on the caller and the helpers that BLAS leaves CPUs
@@ -309,7 +318,7 @@ def transform_matrix(
         out[rows] = _infer(model, matrix.data[rows])
 
     map_chunks(run_block, -(-matrix.rows // _TRANSFORM_BLOCK))
-    return TransformedMatrix(source=source, ids=list(matrix.ids), data=out)
+    return TransformedMatrix(source=source, data=out)
 
 
 def save_model(model: AssocModel, path: str) -> None:

@@ -91,7 +91,7 @@ def _check_pool_inputs(
     passages: EmbeddingMatrix, transformed: TransformedMatrix, config: RerankConfig
 ) -> None:
     config.validate()
-    if len(transformed.ids) != passages.rows:
+    if transformed.data.shape[0] != passages.rows:
         raise ValueError("transformed matrix does not match the passage matrix")
 
 

@@ -3,11 +3,11 @@
 Both sides of every pair pass through the transform; a batch of B pairs gives
 a B x B logit matrix whose diagonal holds the positives, and the loss is the
 mean of the row-wise and column-wise cross entropies. Gradients are computed
-analytically (no autograd) and checked against central finite differences.
+analytically (no autograd); the test suite checks them against central finite
+differences in float64 (`tests/gradcheck.py`).
 
 Arithmetic follows the deployment path: parameters and activations in
-float32, loss values accumulated in float64. The finite-difference harness
-promotes everything to float64 first.
+float32, loss values accumulated in float64.
 """
 
 from __future__ import annotations
@@ -75,11 +75,12 @@ class TrainReport:
     epochs_run: int = 0
 
     def to_json_dict(self) -> dict:
+        """The `train.report` file, with the wall-clock time under `timing`."""
         return {
             "epoch_losses": self.epoch_losses,
-            "final_train_accuracy": self.final_train_accuracy,
-            "wall_time": self.wall_time,
             "epochs_run": self.epochs_run,
+            "final_train_accuracy": self.final_train_accuracy,
+            "timing": {"wall_time": self.wall_time},
         }
 
 
@@ -342,45 +343,3 @@ def training_accuracy(
         raise ValueError("no evaluation batch of size >= 2")
     return hits / total
 
-
-def gradient_check(
-    model: AssocModel,
-    batch_a: np.ndarray,
-    batch_b: np.ndarray,
-    config: TrainConfig,
-    step: float = 1e-5,
-    negatives: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Central finite-difference check of `backward` in float64.
-
-    Returns the worst relative error per parameter tensor, with the
-    difference normalized by max(|analytic| + |numeric|, 1e-6) elementwise.
-    """
-    model64 = model.astype(np.float64)
-    xa = np.asarray(batch_a, dtype=np.float64)
-    xb = np.asarray(batch_b, dtype=np.float64)
-    negs = None if negatives is None else np.asarray(negatives, dtype=np.float64)
-    grads, _ = backward(model64, xa, xb, config, negatives=negs)
-
-    def loss_at() -> float:
-        _, loss = backward(model64, xa, xb, config, negatives=negs)
-        return loss
-
-    worst: dict[str, float] = {}
-    for name, arr in model64.param_items():
-        analytic = grads[name]
-        err = 0.0
-        flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + step
-            up = loss_at()
-            flat[idx] = keep - step
-            down = loss_at()
-            flat[idx] = keep
-            numeric = (up - down) / (2.0 * step)
-            ga = float(analytic.reshape(-1)[idx])
-            denom = max(abs(ga) + abs(numeric), 1e-6)
-            err = max(err, abs(ga - numeric) / denom)
-        worst[name] = err
-    return worst

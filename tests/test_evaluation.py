@@ -11,9 +11,7 @@ from assocrank.evaluation import (
     ComponentTiming,
     LatencyStats,
     compare_systems,
-    coverage_at_k,
     easy_hard_split,
-    em_and_f1,
     evaluate_system,
     lambda_sweep,
     latency_bench,
@@ -65,53 +63,6 @@ class TestQaNormalize:
         assert qa_normalize("an anthem") == "anthem"
 
 
-class TestEmAndF1:
-    def test_identity(self):
-        assert em_and_f1("same string", "same string") == (1.0, 1.0)
-
-    def test_normalized_match(self):
-        em, f1 = em_and_f1("The Big Apple!", "big apple")
-        assert em == 1.0 and f1 == 1.0
-
-    def test_half_overlap(self):
-        em, f1 = em_and_f1("x y", "y z")
-        assert em == 0.0
-        assert f1 == pytest.approx(0.5)
-
-    def test_article_strip_shifts_overlap(self):
-        # "a" disappears in normalization, leaving tokens {b} vs {b, c}
-        em, f1 = em_and_f1("a b", "b c")
-        assert em == 0.0
-        assert f1 == pytest.approx(2 / 3)
-
-    def test_disjoint(self):
-        assert em_and_f1("x y", "p q") == (0.0, 0.0)
-
-    def test_empty_rules(self):
-        assert em_and_f1("", "") == (1.0, 1.0)
-        assert em_and_f1("the a", "") == (1.0, 1.0)  # both normalize empty
-        assert em_and_f1("word", "") == (0.0, 0.0)
-        assert em_and_f1("", "word") == (0.0, 0.0)
-
-    def test_multiset_counting(self):
-        em, f1 = em_and_f1("b b", "b")
-        assert em == 0.0
-        assert f1 == pytest.approx(2 / 3)
-
-    def test_symmetry_and_em_implies_f1(self):
-        rng = np.random.default_rng(1)
-        vocab = ["x", "y", "z", "w", "the"]
-        for _ in range(100):
-            p = " ".join(rng.choice(vocab, size=rng.integers(0, 6)))
-            g = " ".join(rng.choice(vocab, size=rng.integers(0, 6)))
-            em_pg, f1_pg = em_and_f1(p, g)
-            em_gp, f1_gp = em_and_f1(g, p)
-            assert f1_pg == pytest.approx(f1_gp)
-            assert em_pg == em_gp
-            if em_pg == 1.0:
-                assert f1_pg == 1.0
-
-
 class TestRecallAtK:
     def test_hand_cases(self):
         ranked = ["A", "C", "B", "D", "E"]
@@ -145,20 +96,30 @@ class TestRecallAtK:
             recall_at_k(["A"], [], 5)
 
 
+def coverage(texts, answer, k):
+    """Coverage@k of one question ranked over `texts` in order, as
+    `evaluate_system` scores it for `eval`."""
+    ids = [f"t{i}" for i in range(len(texts))]
+    ev = evaluate_system(
+        "dense", {"q": ids}, [record("q", [ids[0]], answer=answer)], ks=(k,), texts=dict(zip(ids, texts))
+    )
+    return ev.coverage_at[k]
+
+
 class TestCoverageAtK:
     def test_hand_cases(self):
         texts = ["the answer is Paris.", "nothing here"]
-        assert coverage_at_k(texts, "paris", 1) == 1.0
-        assert coverage_at_k(texts, "The Paris!", 1) == 1.0
-        assert coverage_at_k(["nothing", "still nothing"], "paris", 2) == 0.0
+        assert coverage(texts, "paris", 1) == 1.0
+        assert coverage(texts, "The Paris!", 1) == 1.0
+        assert coverage(["nothing", "still nothing"], "paris", 2) == 0.0
 
     def test_article_and_case_rules(self):
-        assert coverage_at_k(["contains x here"], "The X", 1) == 1.0
+        assert coverage(["contains x here"], "The X", 1) == 1.0
 
     def test_rank_sensitivity(self):
         texts = ["nothing", "holds the key term"]
-        assert coverage_at_k(texts, "key term", 1) == 0.0
-        assert coverage_at_k(texts, "key term", 2) == 1.0
+        assert coverage(texts, "key term", 1) == 0.0
+        assert coverage(texts, "key term", 2) == 1.0
 
     def test_matches_brute_force_on_100_fixtures(self):
         rng = np.random.default_rng(4)
@@ -173,18 +134,18 @@ class TestCoverageAtK:
             k = int(rng.integers(1, 6))
             needle = qa_normalize(answer)
             want = 1.0 if any(needle in qa_normalize(t) for t in texts[:k]) else 0.0
-            assert coverage_at_k(texts, answer, k) == want
+            assert coverage(texts, answer, k) == want
 
     def test_monotone_in_k(self):
         texts = ["a", "b", "needle", "c"]
-        vals = [coverage_at_k(texts, "needle", k) for k in range(1, 5)]
+        vals = [coverage(texts, "needle", k) for k in range(1, 5)]
         assert all(x <= y for x, y in zip(vals, vals[1:]))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="k must be"):
-            coverage_at_k(["text"], "x", 0)
+            coverage(["text"], "x", 0)
         with pytest.raises(ValueError, match="empty string"):
-            coverage_at_k(["text"], "the a an", 1)
+            coverage(["text"], "the a an", 1)
 
 
 class TestBootstrap:
@@ -276,7 +237,7 @@ class TestEvaluateSystem:
         assert plain.coverage_at is None
 
     def test_coverage_normalizes_each_text_once(self, monkeypatch):
-        # coverage at every k equals coverage_at_k's, and a question
+        # coverage at every k equals a brute-force scan, and a question
         # normalizes its answer and at most its top max(ks) texts once each
         rng = np.random.default_rng(14)
         vocab = ["alpha", "beta", "gamma", "delta", "the"]
@@ -286,14 +247,12 @@ class TestEvaluateSystem:
             records.append(record(f"q{qi}", ["p0"], answer=" ".join(rng.choice(vocab[:4], size=2))))
             rankings[f"q{qi}"] = [f"p{i}" for i in rng.permutation(30)]
         ks = (1, 2, 5, 8)
-        want = {
-            k: sum(
-                coverage_at_k([texts[p] for p in rankings[r.question_id]], r.gold_answer, k)
-                for r in records
-            )
-            / len(records)
-            for k in ks
-        }
+
+        def covered(rec, k):
+            needle = qa_normalize(rec.gold_answer)
+            return any(needle in qa_normalize(texts[p]) for p in rankings[rec.question_id][:k])
+
+        want = {k: sum(covered(r, k) for r in records) / len(records) for k in ks}
         calls = []
         real = evaluation.qa_normalize
         monkeypatch.setattr(evaluation, "qa_normalize", lambda t: calls.append(t) or real(t))
@@ -777,7 +736,7 @@ class TestLatencyBench:
         bad = RerankConfig(pool_depth=3, cutoff=5)
         with pytest.raises(ValueError, match="cutoff"):
             latency_bench(model, passages, transformed, bad, q, [3])
-        transformed.ids = transformed.ids[:-1]
+        transformed.data = transformed.data[:-1]
         good = RerankConfig(pool_depth=10, cutoff=5)
         with pytest.raises(ValueError, match="does not match"):
             latency_bench(model, passages, transformed, good, q, [10])

@@ -228,7 +228,7 @@ class TestScorePool:
     def test_transformed_must_match(self):
         rng = np.random.default_rng(7)
         passages, model, transformed = pipeline_parts(rng, n=10)
-        transformed.ids = transformed.ids[:-1]
+        transformed.data = transformed.data[:-1]
         with pytest.raises(ValueError, match="does not match"):
             score_pool("q", passages.data[0], passages, transformed, model, RerankConfig(pool_depth=5, cutoff=2))
 
@@ -366,7 +366,7 @@ class TestPipeline:
     def test_mismatched_transform_rejected(self):
         rng = np.random.default_rng(13)
         passages, model, transformed = pipeline_parts(rng, n=10)
-        transformed.ids = transformed.ids[:-1]
+        transformed.data = transformed.data[:-1]
         with pytest.raises(ValueError, match="does not match"):
             rerank_query(
                 "q", passages.data[0], passages, transformed, model, RerankConfig(pool_depth=5, cutoff=2)
