@@ -219,26 +219,19 @@ def _load_pipeline(cfg: dict):
 
 def cmd_rerank(cfg: dict) -> int:
     passages, queries, model, transformed, config = _load_pipeline(cfg)
+    scored = rerank_mod.score_pool(queries.ids, queries.data, passages, transformed, model, config)
     buf = io.StringIO()
-    for i, qid in enumerate(queries.ids):
-        result = rerank_mod.rerank_query(
-            qid, queries.data[i], passages, transformed, model, config
-        )
+    for result in rerank_mod.ranked_results(scored, config):
         buf.write(json.dumps(result.to_json_dict(passages.ids), sort_keys=True) + "\n")
     write_atomic(require(cfg, "rerank.out"), buf.getvalue().encode("utf-8"))
     print(json.dumps({"queries": queries.rows, "cutoff": config.cutoff}, sort_keys=True))
     return 0
 
 
-# queries per dense search in eval and sweep: a block's float32 score matrix
-# is 64 x N (25.6 MB at N = 100k); the rows do not depend on the height
-_QUERY_BLOCK = 64
-
-
 def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None, texts: bool = False):
-    """(passages, config, ks, pools, records, texts): the loaded pipeline, the
-    ks set by `ks_key` (which must include `required_k`, if given), one
-    scored pool per query, those queries' records and, if `texts` is set,
+    """(passages, config, ks, scored, records, texts): the loaded pipeline,
+    the ks set by `ks_key` (which must include `required_k`, if given), the
+    queries' scored pools, those queries' records and, if `texts` is set,
     the texts file's texts (None when the config names none). The texts are
     loaded and checked before any query is scored."""
     passages, queries, model, transformed, config = _load_pipeline(cfg)
@@ -255,15 +248,10 @@ def _scored_queries(cfg: dict, ks_key: str, required_k: int | None = None, texts
     if required_k is not None and required_k not in ks:
         raise CliError(f"{ks_key} {list(ks)} must include the hit cutoff {required_k}")
     texts_by_id = _load_texts(cfg, passages.ids) if texts else None
-    pools = []
-    for start in range(0, queries.rows, _QUERY_BLOCK):
-        block = slice(start, start + _QUERY_BLOCK)
-        pools += rerank_mod.score_pool(
-            queries.ids[block], queries.data[block], passages, transformed, model, config
-        )
+    scored = rerank_mod.score_pool(queries.ids, queries.data, passages, transformed, model, config)
     asked = set(queries.ids)
     records = [rec for rec in records if rec.question_id in asked]
-    return passages, config, ks, pools, records, texts_by_id
+    return passages, config, ks, scored, records, texts_by_id
 
 
 def _load_texts(cfg: dict, passage_ids: list[str]) -> dict[str, str] | None:
@@ -281,17 +269,14 @@ def _load_texts(cfg: dict, passage_ids: list[str]) -> dict[str, str] | None:
 
 def cmd_eval(cfg: dict) -> int:
     started = time.perf_counter()
-    passages, config, ks, pools, records, texts = _scored_queries(
+    passages, config, ks, scored, records, texts = _scored_queries(
         cfg, "eval.ks", evaluation.HIT_K, texts=True
     )
-
-    dense_rankings = {}
-    rerank_rankings = {}
-    for pool in pools:
-        dense_rankings[pool.query_id] = [passages.ids[r] for r in pool.rows]
-        ranked = rerank_mod.rank_rows(pool, config.blend_lambda, len(pool.rows))
-        rerank_rankings[pool.query_id] = [passages.ids[r] for r in ranked]
-
+    ranked = rerank_mod.rank_rows(scored, config.blend_lambda, config.pool_depth)
+    dense_rankings, rerank_rankings = (
+        {qid: [passages.ids[r] for r in row] for qid, row in zip(scored.query_ids, rows.tolist())}
+        for rows in (scored.rows, ranked)
+    )
     baseline = evaluation.evaluate_system("dense", dense_rankings, records, ks, texts)
     reranked = evaluation.evaluate_system("rerank", rerank_rankings, records, ks, texts)
     report = evaluation.compare_systems(
@@ -336,14 +321,14 @@ def _write_table(path: str, rows: list[dict], leading: list[str], ks: tuple[int,
 
 
 def cmd_sweep(cfg: dict) -> int:
-    passages, config, ks, pools, records, _ = _scored_queries(cfg, "sweep.ks")
+    passages, config, ks, scored, records, _ = _scored_queries(cfg, "sweep.ks")
     lambdas = _typed(cfg, "sweep.lambdas", "list[float]", [0.0, 0.25, 0.5, 0.75, 1.0])
-    lam_rows = evaluation.lambda_sweep(pools, passages.ids, records, lambdas, ks)
+    lam_rows = evaluation.lambda_sweep(scored, passages.ids, records, lambdas, ks)
     _write_table(require(cfg, "sweep.lambda_out"), lam_rows, ["lambda"], ks)
 
     depths = _typed(cfg, "sweep.depths", "list[int]", [10, 20, 50, 100])
     depth_rows = evaluation.pool_depth_sweep(
-        pools, passages.ids, records, depths, config.blend_lambda, ks
+        scored, passages.ids, records, depths, config.blend_lambda, ks
     )
     _write_table(require(cfg, "sweep.depth_out"), depth_rows, ["depth", "gold_in_pool"], ks)
     print(json.dumps({"lambdas": len(lam_rows), "depths": len(depth_rows)}, sort_keys=True))

@@ -231,29 +231,22 @@ def compare_systems(
     )
 
 
-def _stack_pools(
-    pools: list[ScoredPool], ids: list[str], records: list[QuestionRecord]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pools as (Q, K) rows, sims and assocs, a (Q, K) mask of the pool
-    slots that hold gold, and each query's gold count.
+def _gold_mask(
+    scored: ScoredPool, ids: list[str], records: list[QuestionRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A (Q, K) mask of the pool slots that hold gold, and each query's gold count.
 
     Rows within a pool are distinct, as `score_pool` returns them, so any
     ranked prefix of the mask counts each gold passage at most once.
     """
-    depths = sorted({len(p.rows) for p in pools})
-    if len(depths) != 1:
-        raise ValueError(f"pools must share one depth, got depths {depths}")
     by_qid = {rec.question_id: rec for rec in records}
-    gold_sets = [set(by_qid[p.query_id].gold_passage_ids) for p in pools]
+    gold_sets = [set(by_qid[qid].gold_passage_ids) for qid in scored.query_ids]
+    if not gold_sets:
+        raise ValueError("no pools to sweep")
     if not all(gold_sets):
         raise ValueError("empty gold set")
-    rows = np.stack([p.rows for p in pools])
-    sims = np.stack([p.sims for p in pools])
-    assocs = np.stack([p.assocs for p in pools])
-    gold = np.array(
-        [[ids[r] in g for r in row] for row, g in zip(rows.tolist(), gold_sets)], dtype=bool
-    )
-    return rows, sims, assocs, gold, np.array([len(g) for g in gold_sets])
+    gold = [[ids[r] in g for r in row] for row, g in zip(scored.rows.tolist(), gold_sets)]
+    return np.array(gold, dtype=bool), np.array([len(g) for g in gold_sets])
 
 
 def _recall_columns(
@@ -269,30 +262,30 @@ def _recall_columns(
 
 
 def lambda_sweep(
-    pools: list[ScoredPool],
+    scored: ScoredPool,
     ids: list[str],
     records: list[QuestionRecord],
     lambdas: list[float],
     ks: tuple[int, ...] = DEFAULT_KS,
 ) -> list[dict]:
-    """Recall table over blend weights, reusing one scored pool per query.
+    """Recall table over blend weights, reusing the queries' scored pools.
 
     The lambda = 0 row reproduces the dense baseline exactly: blending with
     weight zero leaves the float32 similarities untouched.
     """
-    rows, sims, assocs, gold, gold_counts = _stack_pools(pools, ids, records)
+    gold, gold_counts = _gold_mask(scored, ids, records)
     table = []
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
-        order, _ = rerank._blend_order(rows, sims, assocs, lam, max(ks))
+        order, _ = rerank._blend_order(scored.rows, scored.sims, scored.assocs, lam, max(ks))
         ranked_gold = np.take_along_axis(gold, order, axis=-1)
         table.append(_recall_columns({"lambda": lam}, ranked_gold, gold_counts, ks))
     return table
 
 
 def pool_depth_sweep(
-    pools: list[ScoredPool],
+    scored: ScoredPool,
     ids: list[str],
     records: list[QuestionRecord],
     depths: list[int],
@@ -304,7 +297,8 @@ def pool_depth_sweep(
     Pools are sim-ordered, so depth K' is the K'-prefix; recall at cutoff k
     can never exceed the fraction of gold inside the truncated pool.
     """
-    rows, sims, assocs, gold, gold_counts = _stack_pools(pools, ids, records)
+    gold, gold_counts = _gold_mask(scored, ids, records)
+    rows, sims, assocs = scored.rows, scored.sims, scored.assocs
     table = []
     for depth in depths:
         if not 1 <= depth <= rows.shape[1]:

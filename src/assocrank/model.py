@@ -142,8 +142,8 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     """f of each row of x: (outputs, cache), the cache None unless `keep_cache`.
 
     A row whose pre-normalization blend has norm <= 1e-12 comes out as zeros
-    and is listed in cache["degenerate"]. A row whose layernorm variance or
-    blend norm overflows as a sum of squares is normalized again after
+    and is listed in cache["degenerate"]. A row whose layernorm mean or
+    variance, or whose blend norm, overflows is normalized again after
     scaling by its largest entry; other rows keep their bits. With the
     cache, finiteness is checked after every affine map and layernorm,
     raising FloatingPointError("non-finite values after <stage>"). Without
@@ -165,12 +165,13 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
         var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
         inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
         xhat = centered * inv_sigma
-        overflowed = np.isinf(var[:, 0]).nonzero()[0]
+        overflowed = (~np.isfinite(var[:, 0])).nonzero()[0]
         if overflowed.size:
-            # scaled by its largest |entry|, such a row's squares stay finite;
-            # LN_EPS / scale**2 is far below the scaled variance's last bit
-            scale = np.abs(centered[overflowed]).max(axis=1, keepdims=True)
-            scaled = centered[overflowed] / scale
+            # scaled by its largest |entry|, such a row's sum and squares stay
+            # finite; LN_EPS / scale**2 is far below the scaled variance's last bit
+            scale = np.abs(z[overflowed]).max(axis=1, keepdims=True)
+            scaled = z[overflowed] / scale
+            scaled -= np.add.reduce(scaled, axis=1, keepdims=True) / d
             sigma = np.sqrt(np.add.reduce(scaled * scaled, axis=1, keepdims=True) / d)
             xhat[overflowed] = scaled / sigma
             inv_sigma[overflowed] = 1.0 / (scale * sigma)

@@ -8,12 +8,12 @@ Scoring modes, all built from the transform f:
     mixed_bidi        0.5 * (f(q) . p  +  f(p) . q)
 
 The passage-side transform comes from a precomputed TransformedMatrix, so a
-query costs one forward pass plus K dot products per direction. Pools can be
-scored a block of queries at a time: the dense search then runs one GEMM for
-the block, and each query still gets its own forward pass, so its pool is the
-same as when it is scored alone. The final
-ranking orders candidates by (1 - lambda) * sim + lambda * assoc with ties
-broken toward the lower passage row.
+query costs one forward pass plus K dot products per direction. Pools are
+scored a block of queries at a time: the dense search runs one GEMM for up
+to `_QUERY_BLOCK` queries, and each query still gets its own forward pass,
+so its pool is the same as when it is scored alone. The final ranking
+orders candidates by (1 - lambda) * sim + lambda * assoc with ties broken
+toward the lower passage row.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from assocrank.model import AssocModel, TransformedMatrix, forward
 from assocrank.search import QueryError, top_k
 
 SCORING_MODES = ("forward_only", "reverse_only", "both_transformed", "mixed_bidi")
+# queries per dense search: a block's float32 score matrix is 64 x N
+# (25.6 MB at N = 100k); the rows do not depend on the height
+_QUERY_BLOCK = 64
 
 
 @dataclass
@@ -79,9 +82,10 @@ class RerankResult:
 
 @dataclass
 class ScoredPool:
-    """A candidate pool with both score channels attached, dense order."""
+    """The candidate pools of a block of queries with both score channels
+    attached: row i of the (Q, K) arrays is query_ids[i]'s pool, dense order."""
 
-    query_id: str
+    query_ids: list[str]
     rows: np.ndarray
     sims: np.ndarray
     assocs: np.ndarray
@@ -124,8 +128,8 @@ def _blend_order(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pool positions of the blended top-`cutoff`, and the blended scores.
 
-    Works along the last axis, so one call ranks one pool or a (Q, K) stack
-    of them. Blends (1 - lambda) * sim + lambda * assoc; ties in the blended
+    Works along the last axis, so one call ranks every pool of a (Q, K)
+    block. Blends (1 - lambda) * sim + lambda * assoc; ties in the blended
     score break toward the lower passage row, matching dense retrieval.
     """
     blended = (1.0 - blend_lambda) * sims + blend_lambda * assocs
@@ -133,44 +137,62 @@ def _blend_order(
 
 
 def score_pool(
-    query_id: str | list[str],
-    query: np.ndarray,
+    query_ids: list[str],
+    queries: np.ndarray,
     passages: EmbeddingMatrix,
     transformed: TransformedMatrix,
     model: AssocModel,
     config: RerankConfig,
-) -> ScoredPool | list[ScoredPool]:
-    """Retrieve dense pools and attach association scores (dense order).
+) -> ScoredPool:
+    """Retrieve the dense pools of a (Q, d) block of queries and attach
+    association scores (dense order).
 
-    One query (an id and a (d,) vector) gives its ScoredPool; a block (a
-    sequence of Q ids and a (Q, d) array) gives a list of Q, each equal to
-    that query's own pool.
+    Searches `_QUERY_BLOCK` queries per `top_k` call, each search followed by
+    its queries' forward passes; a query's pool does not depend on its block.
     """
     _check_pool_inputs(passages, transformed, config)
-    q = np.asarray(query, dtype=np.float32)
-    ids = [query_id] if q.ndim == 1 else list(query_id)
-    if q.ndim == 2 and len(ids) != q.shape[0]:
-        raise ValueError(f"{len(ids)} query ids for {q.shape[0]} queries")
-    try:
-        rows, sims = top_k(q, passages, config.pool_depth)
-    except ValueError as exc:
-        # a fault of the whole call, such as K out of range, names the first query
-        index = exc.index if isinstance(exc, QueryError) else 0
-        raise ValueError(f"query {ids[index]!r}: {exc}") from None
-    shape = (len(ids), -1)
-    pools = []
-    blocks = zip(ids, q.reshape(shape), rows.reshape(shape), sims.reshape(shape))
-    for qid, qi, pool_rows, pool_sims in blocks:
-        fq = forward(model, qi)
-        assocs = _association_readout(qi, fq, pool_rows, passages, transformed, config.mode)
-        pools.append(ScoredPool(query_id=qid, rows=pool_rows, sims=pool_sims, assocs=assocs))
-    return pools[0] if q.ndim == 1 else pools
+    q = np.asarray(queries, dtype=np.float32)
+    ids = list(query_ids)
+    if q.ndim != 2 or len(ids) != len(q):
+        raise ValueError(f"{len(ids)} query ids for a block of shape {q.shape}")
+    blocks = []
+    # no queries make one empty block, whose (0, K) arrays top_k returns
+    for lo in range(0, len(q) or 1, _QUERY_BLOCK):
+        block = q[lo : lo + _QUERY_BLOCK]
+        try:
+            rows, sims = top_k(block, passages, config.pool_depth)
+        except ValueError as exc:
+            # a fault of the whole call, such as K out of range, names the block's first query
+            index = lo + (exc.index if isinstance(exc, QueryError) else 0)
+            raise ValueError(f"query {ids[index]!r}: {exc}") from None
+        assocs = np.empty_like(sims)
+        for i, query in enumerate(block):
+            fq = forward(model, query)
+            assocs[i] = _association_readout(query, fq, rows[i], passages, transformed, config.mode)
+        blocks.append((rows, sims, assocs))
+    # a lone block's arrays are kept as top_k and the readout made them
+    rows, sims, assocs = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    return ScoredPool(query_ids=ids, rows=rows, sims=sims, assocs=assocs)
 
 
 def rank_rows(scored: ScoredPool, blend_lambda: float, cutoff: int) -> np.ndarray:
-    """Row indices of the blended top-`cutoff`, reusing precomputed scores."""
+    """(Q, cutoff) row indices of each pool's blended top-`cutoff`, reusing
+    precomputed scores."""
     order, _ = _blend_order(scored.rows, scored.sims, scored.assocs, blend_lambda, cutoff)
-    return scored.rows[order]
+    return np.take_along_axis(scored.rows, order, axis=-1)
+
+
+def ranked_results(scored: ScoredPool, config: RerankConfig) -> list[RerankResult]:
+    """Each pool's blended top-`config.cutoff` with its scores, in query order."""
+    order, blended = _blend_order(
+        scored.rows, scored.sims, scored.assocs, config.blend_lambda, config.cutoff
+    )
+    results = []
+    pools = zip(scored.query_ids, order, scored.rows, scored.sims, scored.assocs, blended)
+    for qid, top, rows, sims, assocs, blend in pools:
+        picked = (rows[top].tolist(), sims[top].tolist(), assocs[top].tolist(), blend[top].tolist())
+        results.append(RerankResult(qid, list(map(RankedCandidate, *picked))))
+    return results
 
 
 def rerank_query(
@@ -181,18 +203,6 @@ def rerank_query(
     model: AssocModel,
     config: RerankConfig,
 ) -> RerankResult:
-    """Full per-query pipeline: dense pool, association scores, blend."""
-    scored = score_pool(query_id, query, passages, transformed, model, config)
-    order, blended = _blend_order(
-        scored.rows, scored.sims, scored.assocs, config.blend_lambda, config.cutoff
-    )
-    entries = [
-        RankedCandidate(
-            int(scored.rows[i]),
-            float(scored.sims[i]),
-            float(scored.assocs[i]),
-            float(blended[i]),
-        )
-        for i in order
-    ]
-    return RerankResult(query_id=query_id, entries=entries)
+    """Full per-query pipeline as a block of one: pool, association scores, blend."""
+    scored = score_pool([query_id], np.asarray(query)[None], passages, transformed, model, config)
+    return ranked_results(scored, config)[0]

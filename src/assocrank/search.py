@@ -8,8 +8,9 @@ float32. Ties on equal scores break toward the lower row index, so pools are
 fully deterministic.
 
 Scoring every row that way would take a float64 pass over the corpus, so a
-float32 prefilter picks the candidates: a matvec for one query, or one GEMM
-for a block of queries. Whatever order it sums in, its score is within
+float32 prefilter picks the candidates: a matvec for one query or a block
+of one, one GEMM for a larger block. Whatever order it sums in, its score
+is within
 
     eps = (gamma_d + 2u) * max||p|| * ||q||  +  d * 2^-149
 
@@ -92,7 +93,7 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
         scores, or all its rows and their exact scores."""
         lo = starts[chunk]
         part = data[lo : lo + chunk_rows]
-        neg = (part @ negated[0])[None, :] if q.ndim == 1 else negated @ part.T
+        neg = (part @ negated[0])[None, :] if len(block) == 1 else negated @ part.T
         found = []
         for i, eps in enumerate(epsilons):
             if eps is None:
@@ -101,7 +102,7 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
                 exact = np.concatenate([_exact_scores(part[at : at + piece], q64[i]) for at in pieces])
                 found.append((np.arange(lo, lo + len(part)), exact))
             else:
-                rows = np.flatnonzero(neg[i] <= _limit(neg[i], k, eps))
+                rows = (neg[i] <= _limit(neg[i], k, eps)).nonzero()[0]
                 found.append((rows + lo, neg[i][rows]))
         return found
 
@@ -132,8 +133,9 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
                     f"passages, leaving fewer than K={k} to rank",
                 )
             results.append((rows[top], exact[top]))
-    if q.ndim == 1:
-        return results[0]
+    if len(results) == 1:  # one query, as (K,) arrays or as a (1, K) view of them
+        rows, scores = results[0]
+        return (rows[None], scores[None]) if q.ndim == 2 else (rows, scores)
     rows = np.array([r for r, _ in results], dtype=np.int64).reshape(-1, k)
     return rows, np.array([s for _, s in results], dtype=np.float32).reshape(-1, k)
 

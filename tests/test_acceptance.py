@@ -86,14 +86,12 @@ def recall5_pair(corpus, model, subset=None):
         else [r for r in corpus.records if r.question_id in subset]
     )
     wanted = {r.question_id for r in records}
-    dense = {}
-    reranked = {}
-    for i, qid in enumerate(corpus.queries.ids):
-        if qid not in wanted:
-            continue
-        pool = score_pool(qid, corpus.queries.data[i], passages, transformed, model, config)
-        dense[qid] = [passages.ids[r] for r in pool.rows[:5]]
-        reranked[qid] = [passages.ids[r] for r in rank_rows(pool, BLEND_LAMBDA, 5)]
+    picked = [i for i, qid in enumerate(corpus.queries.ids) if qid in wanted]
+    qids = [corpus.queries.ids[i] for i in picked]
+    pool = score_pool(qids, corpus.queries.data[picked], passages, transformed, model, config)
+    ranked = rank_rows(pool, BLEND_LAMBDA, 5)
+    dense = {qid: [passages.ids[r] for r in row[:5]] for qid, row in zip(qids, pool.rows)}
+    reranked = {qid: [passages.ids[r] for r in row] for qid, row in zip(qids, ranked)}
     base = evaluate_system("dense", dense, records, ks=(5,)).recall_at[5]
     rer = evaluate_system("rerank", reranked, records, ks=(5,)).recall_at[5]
     return base, rer
@@ -170,15 +168,14 @@ class TestAcceptance:
         transformed = transform_matrix(model, passages)
         mismatches = 0
         checked = 0
+        qids = [f"q{qi}" for qi in range(queries.shape[0])]
         for mode in ("forward_only", "reverse_only", "both_transformed", "mixed_bidi"):
             config = RerankConfig(pool_depth=100, cutoff=10, mode=mode)
-            for qi in range(queries.shape[0]):
-                pool = score_pool(f"q{qi}", queries[qi], passages, transformed, model, config)
-                dense_head = pool.rows[:10]
-                for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    checked += 1
-                    if not np.array_equal(rank_rows(pool, lam, 10), dense_head):
-                        mismatches += 1
+            pool = score_pool(qids, queries, passages, transformed, model, config)
+            dense_head = pool.rows[:, :10]
+            for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+                checked += len(qids)
+                mismatches += int((rank_rows(pool, lam, 10) != dense_head).any(axis=1).sum())
         elapsed = time.perf_counter() - started
         ok = mismatches == 0 and elapsed < 10.0
         verdict(
@@ -339,12 +336,10 @@ class TestAcceptance:
         model = AssocModel.initialize(32, seed=1)
         transformed = transform_matrix(model, passages)
         config = RerankConfig(pool_depth=100, cutoff=5)
-        pools = []
+        queries = []
         records = []
         for qi in range(40):
-            query = unit_rows(rng, (32,))
-            pool = score_pool(f"q{qi}", query, passages, transformed, model, config)
-            pools.append(pool)
+            queries.append(unit_rows(rng, (32,)))
             gold_rows = rng.choice(1500, size=2, replace=False)
             records.append(
                 QuestionRecord(
@@ -356,16 +351,18 @@ class TestAcceptance:
                 )
             )
 
+        qids = [rec.question_id for rec in records]
+        pool = score_pool(qids, np.stack(queries), passages, transformed, model, config)
         ks = (5, 10)
-        rows = lambda_sweep(pools, passages.ids, records, [0.0, 0.3, 0.7, 1.0], ks)
-        dense_rankings = {p.query_id: [passages.ids[r] for r in p.rows] for p in pools}
+        rows = lambda_sweep(pool, passages.ids, records, [0.0, 0.3, 0.7, 1.0], ks)
+        dense_rankings = {qid: [passages.ids[r] for r in row] for qid, row in zip(qids, pool.rows)}
         dense = evaluate_system("dense", dense_rankings, records, ks)
         lambda_zero_exact = all(
             rows[0][f"recall_at_{k}"] == dense.recall_at[k] for k in ks
         )
 
         depths = [1, 2, 5, 10, 25, 50, 100]
-        depth_rows = pool_depth_sweep(pools, passages.ids, records, depths, 0.5, ks)
+        depth_rows = pool_depth_sweep(pool, passages.ids, records, depths, 0.5, ks)
         containment_ok = all(
             row[f"recall_at_{k}"] <= row["gold_in_pool"] + 1e-12
             for row in depth_rows

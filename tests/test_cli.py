@@ -289,8 +289,8 @@ class TestPipeline:
 
 
     def test_eval_rankings_equal_rerank_query(self, pipeline, tmp_path, monkeypatch):
-        # eval scores its 30 queries in blocks of 16; each ranking must be
-        # the one rerank_query gives that query alone
+        # eval scores its 30 queries in one score_pool call; each ranking
+        # must be the one rerank_query gives that query alone
         _, cfg, config_path = pipeline
         seen = {}
         real = cli.evaluation.evaluate_system
@@ -312,6 +312,30 @@ class TestPipeline:
             assert seen["rerank"][qid] == [passages.ids[e.passage_row] for e in result.entries]
             dense_rows, _ = top_k(q, passages, 50)
             assert seen["dense"][qid] == [passages.ids[r] for r in dense_rows]
+
+
+    def test_rerank_over_three_search_blocks_equals_per_query_calls(self, tmp_path):
+        # 130 queries are searched in blocks of 64, 64 and 2
+        cfg = base_config(tmp_path)
+        cfg["synth.n_questions"] = 130
+        cfg["train.epochs"] = 2
+        config_path = tmp_path / "run.cfg"
+        write_config(config_path, cfg)
+        for command in ("synth", "pairs", "train", "rerank"):
+            assert main([command, "--config", str(config_path)]) == 0
+        passages, queries = load_matrix(cfg["passages"]), load_matrix(cfg["queries"])
+        assert queries.rows == 130 > 2 * cli.rerank_mod._QUERY_BLOCK
+        model = load_model(cfg["checkpoint"])
+        transformed = transform_matrix(model, passages)
+        config = RerankConfig(blend_lambda=0.5, pool_depth=50, cutoff=5)
+        expected = "".join(
+            json.dumps(result.to_json_dict(passages.ids), sort_keys=True) + "\n"
+            for result in (
+                rerank_query(qid, q, passages, transformed, model, config)
+                for qid, q in zip(queries.ids, queries.data)
+            )
+        )
+        assert Path(cfg["rerank.out"]).read_bytes() == expected.encode("utf-8")
 
 
 class TestDeterminism:

@@ -343,12 +343,24 @@ class TestEasyHardAndCompare:
             compare_systems(b, r, ks=(3,))
 
 
-def scored_pool(qid, rows, sims, assocs):
+def scored_pool(qids, rows, sims, assocs):
+    """The pools of a block of queries, from one row of pool rows, sims and
+    assocs per query."""
     return ScoredPool(
-        query_id=qid,
+        query_ids=list(qids),
         rows=np.asarray(rows, dtype=np.int64),
         sims=np.asarray(sims, dtype=np.float32),
         assocs=np.asarray(assocs, dtype=np.float32),
+    )
+
+
+def one_pool(scored, i, depth=None):
+    """Query i's pool, truncated to `depth`, as a block of one."""
+    return ScoredPool(
+        query_ids=[scored.query_ids[i]],
+        rows=scored.rows[i : i + 1, :depth],
+        sims=scored.sims[i : i + 1, :depth],
+        assocs=scored.assocs[i : i + 1, :depth],
     )
 
 
@@ -358,14 +370,14 @@ class TestLambdaSweep:
         sims = np.linspace(1.0, 0.1, 12).astype(np.float32)
         assocs = np.zeros(12, dtype=np.float32)
         assocs[7] = 5.0  # strong association for the row at dense rank 8
-        pools = [scored_pool("q1", list(range(12)), sims, assocs)]
+        pool = scored_pool(["q1"], [list(range(12))], [sims], [assocs])
         records = [record("q1", ["p7", "p0"])]
-        return pools, ids, records
+        return pool, ids, records
 
     def test_lambda_zero_equals_dense_baseline_exactly(self):
-        pools, ids, records = self.small_world()
-        rows = lambda_sweep(pools, ids, records, [0.0, 0.5], ks=(5,))
-        dense_rankings = {"q1": [ids[r] for r in pools[0].rows[:5]]}
+        pool, ids, records = self.small_world()
+        rows = lambda_sweep(pool, ids, records, [0.0, 0.5], ks=(5,))
+        dense_rankings = {"q1": [ids[r] for r in pool.rows[0, :5]]}
         dense = evaluate_system("dense", dense_rankings, records, ks=(5,))
         assert rows[0]["lambda"] == 0.0
         assert rows[0]["recall_at_5"] == dense.recall_at[5] == 0.5
@@ -373,11 +385,9 @@ class TestLambdaSweep:
         assert rows[1]["recall_at_5"] == 1.0
 
     def test_single_lambda_matches_direct_evaluation(self):
-        pools, ids, records = self.small_world()
-        row = lambda_sweep(pools, ids, records, [0.3], ks=(5,))[0]
-        from assocrank.rerank import rank_rows
-
-        ranked = [ids[r] for r in rank_rows(pools[0], 0.3, 5)]
+        pool, ids, records = self.small_world()
+        row = lambda_sweep(pool, ids, records, [0.3], ks=(5,))[0]
+        ranked = [ids[r] for r in rank_rows(pool, 0.3, 5)[0]]
         direct = evaluate_system("x", {"q1": ranked}, records, ks=(5,))
         assert row["recall_at_5"] == direct.recall_at[5]
 
@@ -391,24 +401,25 @@ class TestLambdaSweep:
         model.alpha_raw[:] = 20.0
         transformed = transform_matrix(model, passages)
         cfg = RerankConfig(pool_depth=20, cutoff=5)
-        records = []
-        pools = []
+        queries = []
         for qi in range(8):
             q = passages.data[qi] + rng.normal(scale=0.05, size=16).astype(np.float32)
-            q = (q / np.linalg.norm(q)).astype(np.float32)
-            pool = score_pool(f"q{qi}", q, passages, transformed, model, cfg)
-            pools.append(pool)
-            gold_rows = pool.rows[:2]
-            records.append(record(f"q{qi}", [passages.ids[r] for r in gold_rows]))
-        rows = lambda_sweep(pools, passages.ids, records, [0.0, 0.25, 0.5, 1.0], ks=(5, 10))
+            queries.append((q / np.linalg.norm(q)).astype(np.float32))
+        qids = [f"q{qi}" for qi in range(8)]
+        pool = score_pool(qids, np.stack(queries), passages, transformed, model, cfg)
+        records = [
+            record(qid, [passages.ids[r] for r in gold_rows])
+            for qid, gold_rows in zip(qids, pool.rows[:, :2])
+        ]
+        rows = lambda_sweep(pool, passages.ids, records, [0.0, 0.25, 0.5, 1.0], ks=(5, 10))
         for row in rows[1:]:
             for key in ("recall_at_5", "recall_at_10"):
                 assert row[key] == rows[0][key]
 
     def test_bad_lambda(self):
-        pools, ids, records = self.small_world()
+        pool, ids, records = self.small_world()
         with pytest.raises(ValueError, match="lambda"):
-            lambda_sweep(pools, ids, records, [1.5], ks=(5,))
+            lambda_sweep(pool, ids, records, [1.5], ks=(5,))
 
 
 class TestPoolDepthSweep:
@@ -418,13 +429,13 @@ class TestPoolDepthSweep:
         sims = np.linspace(1.0, 0.1, n).astype(np.float32)
         assocs = np.zeros(n, dtype=np.float32)
         assocs[14] = 9.0  # gold sits at dense rank 15
-        pools = [scored_pool("q1", list(range(n)), sims, assocs)]
+        pool = scored_pool(["q1"], [list(range(n))], [sims], [assocs])
         records = [record("q1", ["p14"])]
-        return pools, ids, records
+        return pool, ids, records
 
     def test_gold_at_rank_15_needs_depth_15(self):
-        pools, ids, records = self.deep_world()
-        rows = pool_depth_sweep(pools, ids, records, [5, 10, 14, 15, 30], 0.5, ks=(5,))
+        pool, ids, records = self.deep_world()
+        rows = pool_depth_sweep(pool, ids, records, [5, 10, 14, 15, 30], 0.5, ks=(5,))
         by_depth = {row["depth"]: row for row in rows}
         for depth in (5, 10, 14):
             assert by_depth[depth]["recall_at_5"] == 0.0
@@ -442,38 +453,38 @@ class TestPoolDepthSweep:
             rows = rng.permutation(50)[:25]
             sims = np.sort(rng.random(25).astype(np.float32))[::-1]
             assocs = rng.normal(size=25).astype(np.float32)
-            pools.append(scored_pool(f"q{qi}", rows, sims, assocs))
+            pools.append((f"q{qi}", rows, sims, assocs))
             gold_rows = rng.choice(50, size=2, replace=False)
             records.append(record(f"q{qi}", [ids[r] for r in gold_rows]))
         depths = [1, 3, 5, 10, 20, 25]
-        rows_out = pool_depth_sweep(pools, ids, records, depths, 0.7, ks=(5,))
+        rows_out = pool_depth_sweep(scored_pool(*zip(*pools)), ids, records, depths, 0.7, ks=(5,))
         for row in rows_out:
             assert row["recall_at_5"] <= row["gold_in_pool"] + 1e-12
 
     def test_depth_five_uses_exactly_dense_top5(self):
-        pools, ids, records = self.deep_world()
-        row = pool_depth_sweep(pools, ids, records, [5], 1.0, ks=(5,))[0]
+        pool, ids, records = self.deep_world()
+        row = pool_depth_sweep(pool, ids, records, [5], 1.0, ks=(5,))[0]
         # reranking a 5-pool at cutoff 5 is a permutation of the dense top-5
         assert row["recall_at_5"] == row["gold_in_pool"]
 
     def test_depth_out_of_range(self):
-        pools, ids, records = self.deep_world()
+        pool, ids, records = self.deep_world()
         with pytest.raises(ValueError, match="out of range"):
-            pool_depth_sweep(pools, ids, records, [31], 0.5, ks=(5,))
+            pool_depth_sweep(pool, ids, records, [31], 0.5, ks=(5,))
         with pytest.raises(ValueError, match="out of range"):
-            pool_depth_sweep(pools, ids, records, [0], 0.5, ks=(5,))
+            pool_depth_sweep(pool, ids, records, [0], 0.5, ks=(5,))
 
 
-def reference_lambda_sweep(pools, ids, records, lambdas, ks):
+def reference_lambda_sweep(scored, ids, records, lambdas, ks):
     """The per-pool lambda sweep, one `rank_rows` and `recall_at_k` call per
     query and setting: the oracle for the array version."""
     by_qid = {rec.question_id: rec for rec in records}
     rows = []
     for lam in lambdas:
         rankings = {}
-        for pool in pools:
-            ranked = rank_rows(pool, lam, max(ks))
-            rankings[pool.query_id] = [ids[r] for r in ranked]
+        for i, qid in enumerate(scored.query_ids):
+            ranked = rank_rows(one_pool(scored, i), lam, max(ks))[0]
+            rankings[qid] = [ids[r] for r in ranked]
         row = {"lambda": lam}
         for k in ks:
             row[f"recall_at_{k}"] = float(
@@ -485,7 +496,7 @@ def reference_lambda_sweep(pools, ids, records, lambdas, ks):
     return rows
 
 
-def reference_pool_depth_sweep(pools, ids, records, depths, blend_lambda, ks):
+def reference_pool_depth_sweep(scored, ids, records, depths, blend_lambda, ks):
     """The per-pool depth sweep over truncated pool copies: the oracle for the
     array version."""
     by_qid = {rec.question_id: rec for rec in records}
@@ -493,17 +504,12 @@ def reference_pool_depth_sweep(pools, ids, records, depths, blend_lambda, ks):
     for depth in depths:
         rankings = {}
         containment = []
-        for pool in pools:
-            truncated = ScoredPool(
-                query_id=pool.query_id,
-                rows=pool.rows[:depth],
-                sims=pool.sims[:depth],
-                assocs=pool.assocs[:depth],
-            )
-            ranked = rank_rows(truncated, blend_lambda, min(max(ks), depth))
-            rankings[pool.query_id] = [ids[r] for r in ranked]
-            gold = set(by_qid[pool.query_id].gold_passage_ids)
-            inside = len(gold & {ids[r] for r in truncated.rows}) / len(gold)
+        for i, qid in enumerate(scored.query_ids):
+            truncated = one_pool(scored, i, depth)
+            ranked = rank_rows(truncated, blend_lambda, min(max(ks), depth))[0]
+            rankings[qid] = [ids[r] for r in ranked]
+            gold = set(by_qid[qid].gold_passage_ids)
+            inside = len(gold & {ids[r] for r in truncated.rows[0]}) / len(gold)
             containment.append(inside)
         row = {"depth": depth, "gold_in_pool": float(np.mean(containment))}
         for k in ks:
@@ -527,7 +533,7 @@ def tied_world(seed, n_queries=40, depth=25, n_ids=120):
         rows = rng.permutation(n_ids)[:depth]
         sims = np.sort(rng.integers(0, 4, size=depth).astype(np.float32))[::-1]
         assocs = rng.integers(-3, 4, size=depth).astype(np.float32)
-        pools.append(scored_pool(f"q{qi}", rows, sims, assocs))
+        pools.append((f"q{qi}", rows, sims, assocs))
         gold = [ids[r] for r in rng.choice(n_ids, size=int(rng.integers(1, 4)), replace=False)]
         if qi % 3 == 0:
             gold[0] = ids[rows[-1]]
@@ -536,7 +542,7 @@ def tied_world(seed, n_queries=40, depth=25, n_ids=120):
         if qi % 5 == 0:
             gold.append(gold[0])  # a repeated gold id counts once
         records.append(record(f"q{qi}", gold))
-    return pools, ids, records
+    return scored_pool(*zip(*pools)), ids, records
 
 
 class TestArraySweepsMatchPerPoolLoops:
@@ -546,67 +552,66 @@ class TestArraySweepsMatchPerPoolLoops:
 
     def test_tied_pools_equal_reference_rows(self):
         for seed in range(5):
-            pools, ids, records = tied_world(seed)
-            assert any(len(set(p.sims.tolist())) < len(p.sims) for p in pools)
-            lam_rows = lambda_sweep(pools, ids, records, self.LAMBDAS, self.KS)
-            assert lam_rows == reference_lambda_sweep(pools, ids, records, self.LAMBDAS, self.KS)
+            pool, ids, records = tied_world(seed)
+            assert any(len(set(sims)) < len(sims) for sims in pool.sims.tolist())
+            lam_rows = lambda_sweep(pool, ids, records, self.LAMBDAS, self.KS)
+            assert lam_rows == reference_lambda_sweep(pool, ids, records, self.LAMBDAS, self.KS)
             for blend_lambda in (0.0, 0.5, 1.0):
-                got = pool_depth_sweep(pools, ids, records, self.DEPTHS, blend_lambda, self.KS)
+                got = pool_depth_sweep(pool, ids, records, self.DEPTHS, blend_lambda, self.KS)
                 want = reference_pool_depth_sweep(
-                    pools, ids, records, self.DEPTHS, blend_lambda, self.KS
+                    pool, ids, records, self.DEPTHS, blend_lambda, self.KS
                 )
                 assert got == want, (seed, blend_lambda)
 
     def test_gold_on_last_row_counts_only_at_full_depth(self):
-        pools, ids, records = tied_world(7, n_queries=1)
-        records = [record("q0", [ids[pools[0].rows[-1]]])]
-        got = pool_depth_sweep(pools, ids, records, [24, 25], 1.0, (25,))
+        pool, ids, records = tied_world(7, n_queries=1)
+        records = [record("q0", [ids[pool.rows[0, -1]]])]
+        got = pool_depth_sweep(pool, ids, records, [24, 25], 1.0, (25,))
         assert [row["gold_in_pool"] for row in got] == [0.0, 1.0]
-        assert got == reference_pool_depth_sweep(pools, ids, records, [24, 25], 1.0, (25,))
+        assert got == reference_pool_depth_sweep(pool, ids, records, [24, 25], 1.0, (25,))
 
     def test_scored_pools_equal_reference_rows(self):
         rng = np.random.default_rng(13)
         model, passages, transformed, _ = tiny_pipeline(rng, n=200, d=12)
         config = RerankConfig(pool_depth=30, cutoff=5)
-        pools, records = [], []
+        queries, records = [], []
         for qi in range(25):
-            q = rng.normal(size=12).astype(np.float32)
-            pools.append(score_pool(f"q{qi}", q, passages, transformed, model, config))
+            queries.append(rng.normal(size=12).astype(np.float32))
             gold = rng.choice(200, size=2, replace=False)
             records.append(record(f"q{qi}", [passages.ids[r] for r in gold]))
+        qids = [rec.question_id for rec in records]
+        pool = score_pool(qids, np.stack(queries), passages, transformed, model, config)
         ids = passages.ids
-        assert lambda_sweep(pools, ids, records, self.LAMBDAS, self.KS) == reference_lambda_sweep(
-            pools, ids, records, self.LAMBDAS, self.KS
+        assert lambda_sweep(pool, ids, records, self.LAMBDAS, self.KS) == reference_lambda_sweep(
+            pool, ids, records, self.LAMBDAS, self.KS
         )
         depths = [1, 4, 10, 30]
-        assert pool_depth_sweep(pools, ids, records, depths, 0.5, self.KS) == (
-            reference_pool_depth_sweep(pools, ids, records, depths, 0.5, self.KS)
+        assert pool_depth_sweep(pool, ids, records, depths, 0.5, self.KS) == (
+            reference_pool_depth_sweep(pool, ids, records, depths, 0.5, self.KS)
         )
 
-    def test_unequal_depths_rejected(self):
-        pools, ids, records = tied_world(8, n_queries=3)
-        short = pools[1]
-        pools[1] = scored_pool("q1", short.rows[:20], short.sims[:20], short.assocs[:20])
-        with pytest.raises(ValueError, match=r"depths \[20, 25\]"):
-            lambda_sweep(pools, ids, records, [0.5], ks=(5,))
-        with pytest.raises(ValueError, match=r"depths \[20, 25\]"):
-            pool_depth_sweep(pools, ids, records, [5], 0.5, ks=(5,))
-
     def test_k_below_one_rejected(self):
-        pools, ids, records = tied_world(9, n_queries=3)
+        pool, ids, records = tied_world(9, n_queries=3)
         for ks in ((0,), (5, 0), (-1, 5)):
             with pytest.raises(ValueError, match="k must be >= 1"):
-                lambda_sweep(pools, ids, records, [0.5], ks=ks)
+                lambda_sweep(pool, ids, records, [0.5], ks=ks)
             with pytest.raises(ValueError, match="k must be >= 1"):
-                pool_depth_sweep(pools, ids, records, [5], 0.5, ks=ks)
+                pool_depth_sweep(pool, ids, records, [5], 0.5, ks=ks)
+
+    def test_no_pools_rejected(self):
+        empty = np.empty((0, 5))
+        for sweep in (lambda_sweep, pool_depth_sweep):
+            args = ([0.5],) if sweep is lambda_sweep else ([5], 0.5)
+            with pytest.raises(ValueError, match="^no pools to sweep$"):
+                sweep(scored_pool([], empty, empty, empty), ["p0"], [], *args, ks=(5,))
 
     def test_empty_gold_set_rejected(self):
-        pools, ids, records = tied_world(10, n_queries=3)
+        pool, ids, records = tied_world(10, n_queries=3)
         records[2] = record("q2", [])
         with pytest.raises(ValueError, match="empty gold set"):
-            lambda_sweep(pools, ids, records, [0.5], ks=(5,))
+            lambda_sweep(pool, ids, records, [0.5], ks=(5,))
         with pytest.raises(ValueError, match="empty gold set"):
-            pool_depth_sweep(pools, ids, records, [5], 0.5, ks=(5,))
+            pool_depth_sweep(pool, ids, records, [5], 0.5, ks=(5,))
 
 
 class TestRankMovement:

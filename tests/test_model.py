@@ -3,6 +3,7 @@
 import math
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ class TestForward:
         for i in (1, 2):
             assert np.abs(large["lns"][i][0] - small["lns"][i][0]).max() < 1e-4
 
+    def test_a_layernorm_whose_mean_overflows_normalizes_the_row(self):
+        # 64 entries of 1e38 overflow the float32 sum behind layer 0's mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = forward(AssocModel.initialize(64, seed=0), np.full(64, 1e38, np.float32))
+        assert abs(np.linalg.norm(out.astype(np.float64)) - 1.0) < 1e-6
+        # with w0 the identity and zero biases, layer 0's z is the input row;
+        # entries of about 10 times 5e36 are finite, and their sum is not
+        model = AssocModel.initialize(64, seed=0)
+        model.weights[0][:] = np.eye(64, dtype=np.float32)
+        x = (10.0 + 10.0 * np.random.default_rng(17).normal(size=(3, 64))).astype(np.float32)
+        big = np.float32(5e36) * x
+        assert np.isfinite(big).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(np.add.reduce(big, axis=1)).all()
+            _, small = model_module._forward(model, x, keep_cache=True)
+            _, large = model_module._forward(model, big, keep_cache=True)
+        (xhat, inv_sigma), (big_xhat, big_inv_sigma) = small["lns"][0], large["lns"][0]
+        assert np.abs(big_xhat - xhat).max() < 1e-5
+        # the cache holds the inv_sigma that backward_batch pairs with xhat
+        assert np.abs(big_inv_sigma * 5e36 / inv_sigma - 1.0).max() < 1e-5
+        for i in (1, 2):
+            assert np.abs(large["lns"][i][0] - small["lns"][i][0]).max() < 1e-4
+
     def test_a_constant_1e20_vector_comes_out_unit_norm(self):
         model = AssocModel.initialize(64, seed=0)
         x = np.full(64, 1e20, np.float32)
@@ -307,7 +332,8 @@ class TestTransformMatrix:
     def test_errors_match_the_serial_loop(self, three_threads):
         model = AssocModel.initialize(16, seed=3)
         data = np.random.default_rng(1).normal(size=(2500, 16)).astype(np.float32)
-        data[1500] = 3e38  # overflows, in the middle block
+        # overflows the first affine map, in the middle block
+        data[1500] = 3e38 * np.sign(model.weights[0][0])
         m = EmbeddingMatrix([f"p{i}" for i in range(2500)], data)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError) as serial:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from assocrank import rerank as rerank_module
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, forward, transform_matrix
 from assocrank.rerank import (
@@ -18,17 +19,18 @@ from assocrank.search import top_k
 
 
 def pool_of(rows, sims, assocs):
+    """A block of one pool."""
     return ScoredPool(
-        query_id="q",
-        rows=np.asarray(rows, dtype=np.int64),
-        sims=np.asarray(sims, dtype=np.float32),
-        assocs=np.asarray(assocs, dtype=np.float32),
+        query_ids=["q"],
+        rows=np.asarray(rows, dtype=np.int64)[None],
+        sims=np.asarray(sims, dtype=np.float32)[None],
+        assocs=np.asarray(assocs, dtype=np.float32)[None],
     )
 
 
 def blend_rows(pool, blend_lambda, cutoff):
     order, blended = _blend_order(pool.rows, pool.sims, pool.assocs, blend_lambda, cutoff)
-    return pool.rows[order].tolist(), blended[order].tolist()
+    return pool.rows[0, order[0]].tolist(), blended[0, order[0]].tolist()
 
 
 def unit_rows(data):
@@ -97,7 +99,7 @@ class TestBlend:
         rows, blended = blend_rows(pool, 0.6, 3)
         assert rows == [1, 2, 0]
         assert np.abs(np.array(blended) - np.array([0.74, 0.64, 0.42])).max() < 1e-6
-        assert rank_rows(pool, 0.6, 3).tolist() == rows
+        assert rank_rows(pool, 0.6, 3).tolist() == [rows]
 
     def test_lambda_zero_keeps_dense_order_exactly(self):
         rng = np.random.default_rng(0)
@@ -119,22 +121,22 @@ class TestBlend:
         assoc = rng.normal(size=n).astype(np.float32)
         pool = pool_of(range(n), np.sort(rng.normal(size=n))[::-1], assoc)
         expected = sorted(range(n), key=lambda i: (-assoc[i], i))
-        assert rank_rows(pool, 1.0, n).tolist() == expected
+        assert rank_rows(pool, 1.0, n).tolist() == [expected]
 
     def test_blended_ties_break_toward_lower_row(self):
         pool = pool_of([30, 10], [0.5, 0.5], [0.2, 0.2])
-        assert rank_rows(pool, 0.5, 2).tolist() == [10, 30]
+        assert rank_rows(pool, 0.5, 2).tolist() == [[10, 30]]
 
     def test_cutoff_truncates(self):
         pool = pool_of([0, 1, 2, 3], [0.9, 0.8, 0.7, 0.6], np.zeros(4))
-        assert rank_rows(pool, 0.0, 2).tolist() == [0, 1]
+        assert rank_rows(pool, 0.0, 2).tolist() == [[0, 1]]
 
 
 class TestModes:
     def scored_by_mode(self, q, passages, transformed, model, depth=30):
         return {
             mode: score_pool(
-                "q", q, passages, transformed, model,
+                ["q"], q[None], passages, transformed, model,
                 RerankConfig(pool_depth=depth, cutoff=5, mode=mode),
             )
             for mode in SCORING_MODES
@@ -161,15 +163,15 @@ class TestModes:
         q = rng.normal(size=24).astype(np.float32)
         q /= np.linalg.norm(q)
         for mode, scored in self.scored_by_mode(q, passages, transformed, model).items():
-            raw = passages.data[scored.rows].astype(np.float64) @ q.astype(np.float64)
-            assert np.abs(scored.assocs - raw).max() < 1e-5, mode
+            raw = passages.data[scored.rows[0]].astype(np.float64) @ q.astype(np.float64)
+            assert np.abs(scored.assocs[0] - raw).max() < 1e-5, mode
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(4)
         passages, model, transformed = pipeline_parts(rng, n=10)
         cfg = RerankConfig(pool_depth=5, cutoff=2, mode="sideways")
         with pytest.raises(ValueError, match="mode must be"):
-            score_pool("q", passages.data[0], passages, transformed, model, cfg)
+            score_pool(["q"], passages.data[:1], passages, transformed, model, cfg)
 
 
 class TestScorePool:
@@ -179,15 +181,15 @@ class TestScorePool:
         q = rng.normal(size=24).astype(np.float32)
         for mode in SCORING_MODES:
             cfg = RerankConfig(pool_depth=20, cutoff=5, mode=mode)
-            scored = score_pool("q0", q, passages, transformed, model, cfg)
-            assert scored.rows.shape == (20,)
+            scored = score_pool(["q0"], q[None], passages, transformed, model, cfg)
+            assert scored.rows.shape == (1, 20)
             assert scored.assocs.dtype == np.float32
             for slot in (0, 3, 19):
-                row = int(scored.rows[slot])
+                row = int(scored.rows[0, slot])
                 single = reference_assoc(
                     model, q, passages.data[row], transformed.data[row], mode
                 )
-                assert abs(single - float(scored.assocs[slot])) < 1e-6, mode
+                assert abs(single - float(scored.assocs[0, slot])) < 1e-6, mode
 
     def test_assocs_are_the_pool_readout_bit_for_bit(self):
         # float32 readout over the gathered pool rows, as each mode defines
@@ -198,8 +200,8 @@ class TestScorePool:
         fq = forward(model, q)
         for mode in SCORING_MODES:
             cfg = RerankConfig(pool_depth=40, cutoff=5, mode=mode)
-            scored = score_pool("q0", q, passages, transformed, model, cfg)
-            vecs, tvecs = passages.data[scored.rows], transformed.data[scored.rows]
+            scored = score_pool(["q0"], q[None], passages, transformed, model, cfg)
+            vecs, tvecs = passages.data[scored.rows[0]], transformed.data[scored.rows[0]]
             expected = {
                 "forward_only": vecs @ fq,
                 "reverse_only": tvecs @ q,
@@ -207,11 +209,11 @@ class TestScorePool:
                 "mixed_bidi": 0.5 * (vecs @ fq + tvecs @ q),
             }[mode].astype(np.float32)
             assert scored.assocs.tobytes() == expected.tobytes(), mode
-            for slot, row in enumerate(scored.rows):
+            for slot, row in enumerate(scored.rows[0]):
                 single = reference_assoc(
                     model, q, passages.data[row], transformed.data[row], mode
                 )
-                assert abs(single - float(scored.assocs[slot])) < 1e-6, mode
+                assert abs(single - float(scored.assocs[0, slot])) < 1e-6, mode
 
     def test_sims_match_dense_pool(self):
         rng = np.random.default_rng(6)
@@ -220,34 +222,40 @@ class TestScorePool:
         dense_rows, dense_sims = top_k(q, passages, 15)
         for mode in SCORING_MODES:
             cfg = RerankConfig(pool_depth=15, cutoff=5, mode=mode)
-            scored = score_pool("q0", q, passages, transformed, model, cfg)
-            assert scored.query_id == "q0"
-            assert scored.rows.tolist() == dense_rows.tolist()
-            assert scored.sims.tolist() == dense_sims.tolist()
+            scored = score_pool(["q0"], q[None], passages, transformed, model, cfg)
+            assert scored.query_ids == ["q0"]
+            assert scored.rows.tolist() == [dense_rows.tolist()]
+            assert scored.sims.tolist() == [dense_sims.tolist()]
 
     def test_transformed_must_match(self):
         rng = np.random.default_rng(7)
         passages, model, transformed = pipeline_parts(rng, n=10)
         transformed.data = transformed.data[:-1]
+        cfg = RerankConfig(pool_depth=5, cutoff=2)
         with pytest.raises(ValueError, match="does not match"):
-            score_pool("q", passages.data[0], passages, transformed, model, RerankConfig(pool_depth=5, cutoff=2))
+            score_pool(["q"], passages.data[:1], passages, transformed, model, cfg)
 
 
     @pytest.mark.parametrize("mode", SCORING_MODES)
-    def test_a_block_equals_one_query_at_a_time(self, mode):
+    def test_a_block_equals_one_query_at_a_time(self, mode, monkeypatch):
         rng = np.random.default_rng(10)
         passages, model, transformed = pipeline_parts(rng, n=301)
         queries = rng.normal(size=(21, 24)).astype(np.float32)
         ids = [f"q{i}" for i in range(21)]
         cfg = RerankConfig(pool_depth=30, cutoff=5, mode=mode)
-        pools = []
-        for lo in range(0, 21, 8):
-            pools += score_pool(ids[lo : lo + 8], queries[lo : lo + 8], passages, transformed, model, cfg)
-        assert [p.query_id for p in pools] == ids
-        for qid, q, pool in zip(ids, queries, pools):
-            alone = score_pool(qid, q, passages, transformed, model, cfg)
+        alone = [
+            score_pool([qid], q[None], passages, transformed, model, cfg)
+            for qid, q in zip(ids, queries)
+        ]
+        # with 8 queries per search, the 21 queries are searched in 3 blocks
+        for search_block in (rerank_module._QUERY_BLOCK, 8):
+            monkeypatch.setattr(rerank_module, "_QUERY_BLOCK", search_block)
+            block = score_pool(ids, queries, passages, transformed, model, cfg)
+            assert block.query_ids == ids
             for name in ("rows", "sims", "assocs"):
-                got, want = getattr(pool, name), getattr(alone, name)
+                got = getattr(block, name)
+                want = np.concatenate([getattr(pool, name) for pool in alone])
+                assert got.shape == (21, 30), name
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_nan_query_in_a_block_is_named(self):
@@ -258,8 +266,32 @@ class TestScorePool:
         cfg = RerankConfig(pool_depth=5, cutoff=2)
         with pytest.raises(ValueError, match=r"^query 'b': query scores are NaN for 20 of 20 passages"):
             score_pool(["z", "a", "b", "c"], queries, passages, transformed, model, cfg)
-        with pytest.raises(ValueError, match="3 query ids for 4 queries"):
+        with pytest.raises(ValueError, match=r"^3 query ids for a block of shape \(4, 24\)$"):
             score_pool(["z", "a", "b"], queries, passages, transformed, model, cfg)
+        with pytest.raises(ValueError, match=r"^1 query ids for a block of shape \(24,\)$"):
+            score_pool(["z"], queries[0], passages, transformed, model, cfg)
+
+    def test_nan_query_in_a_later_search_block_is_named(self):
+        # query 66 is row 2 of the second search block: naming it needs the
+        # block's offset
+        rng = np.random.default_rng(12)
+        passages, model, transformed = pipeline_parts(rng, n=20)
+        queries = rng.normal(size=(70, 24)).astype(np.float32)
+        queries[66, 5] = np.nan
+        ids = [f"q{i}" for i in range(70)]
+        cfg = RerankConfig(pool_depth=5, cutoff=2)
+        assert rerank_module._QUERY_BLOCK == 64
+        with pytest.raises(ValueError, match=r"^query 'q66': query scores are NaN for 20 of 20"):
+            score_pool(ids, queries, passages, transformed, model, cfg)
+
+    def test_no_queries_give_empty_pools(self):
+        rng = np.random.default_rng(13)
+        passages, model, transformed = pipeline_parts(rng, n=20)
+        scored = score_pool([], np.empty((0, 24), np.float32), passages, transformed, model,
+                            RerankConfig(pool_depth=5, cutoff=2))
+        assert scored.query_ids == []
+        assert [getattr(scored, name).shape for name in ("rows", "sims", "assocs")] == [(0, 5)] * 3
+        assert rank_rows(scored, 0.5, 2).shape == (0, 2)
 
 
 class TestRerankQuery:
@@ -305,10 +337,10 @@ class TestRerankQuery:
         passages, model, transformed = pipeline_parts(rng)
         cfg = RerankConfig(blend_lambda=0.3, pool_depth=25, cutoff=6)
         q = rng.normal(size=24).astype(np.float32)
-        scored = score_pool("q", q, passages, transformed, model, cfg)
+        scored = score_pool(["q"], q[None], passages, transformed, model, cfg)
         rows = rank_rows(scored, 0.3, 6)
         full = rerank_query("q", q, passages, transformed, model, cfg)
-        assert rows.tolist() == [e.passage_row for e in full.entries]
+        assert rows.tolist() == [[e.passage_row for e in full.entries]]
 
     def test_json_shape_uses_ids(self):
         rng = np.random.default_rng(11)
@@ -343,23 +375,22 @@ class TestPipeline:
             for mode in SCORING_MODES:
                 cfg = RerankConfig(blend_lambda=lam, pool_depth=depth, cutoff=depth, mode=mode)
                 for q in queries:
-                    scored = score_pool("q", q, passages, transformed, model, cfg)
+                    scored = score_pool(["q"], q[None], passages, transformed, model, cfg)
                     one_shot = rerank_query("q", q, passages, transformed, model, cfg)
                     got = [e.passage_row for e in one_shot.entries]
-                    assert rank_rows(scored, lam, depth).tolist() == got
+                    assert rank_rows(scored, lam, depth).tolist() == [got]
                     # sims and assocs are float32 and, for these lambdas, each
                     # product is exact, so one rounding of the float64 blend
                     # to float32 gives the product's blended scores and ties
-                    exact = (1.0 - lam) * scored.sims.astype(np.float64) + lam * scored.assocs.astype(
-                        np.float64
-                    )
+                    sims, assocs, rows = scored.sims[0], scored.assocs[0], scored.rows[0]
+                    exact = (1.0 - lam) * sims.astype(np.float64) + lam * assocs.astype(np.float64)
                     blended = exact.astype(np.float32)
                     expected = sorted(
-                        range(depth), key=lambda i: (-float(blended[i]), int(scored.rows[i]))
+                        range(depth), key=lambda i: (-float(blended[i]), int(rows[i]))
                     )
-                    assert got == scored.rows[expected].tolist(), (lam, mode)
+                    assert got == rows[expected].tolist(), (lam, mode)
                     assert [e.blended for e in one_shot.entries] == blended[expected].tolist()
-                    tied_pools += len(set(scored.sims.tolist())) < depth
+                    tied_pools += len(set(sims.tolist())) < depth
                     tied_blends += len(set(blended.tolist())) < depth
         assert tied_pools > 0 and tied_blends > 0
 
