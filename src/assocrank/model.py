@@ -10,21 +10,24 @@ gate. alpha_raw starts at 0 so the gate opens at 0.5; driving alpha_raw high
 collapses f to plain row normalization, which keeps the untrained model safe
 to deploy.
 
-Parameter count is 4*(d^2 + d) + 3*2d + 1.
+Parameter count is 4*(d^2 + d) + 3*2d + 1 (`param_size`).
 
-Checkpoint container ("AARM", version 1, little-endian): magic, u32 version,
-u32 d, then float32 parameters in this fixed order:
+The parameters are one contiguous vector in this fixed (checkpoint) order:
 
     w0, b0, w1, b1, w2, b2, w3, b3,
     ln0_scale, ln0_shift, ln1_scale, ln1_shift, ln2_scale, ln2_shift,
     alpha_raw
 
-with each weight matrix stored row-major as (d_out, d_in).
+with each weight matrix stored row-major as (d_out, d_in). Each named tensor
+is a view into that vector, and gradients share its layout, so the optimizer
+and checkpoint I/O each act on the whole vector at once.
+
+Checkpoint container ("AARM", version 1, little-endian): magic, u32 version,
+u32 d, then the parameter vector as float32.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -49,15 +52,44 @@ class CheckpointError(ValueError):
     """Raised for malformed or truncated model checkpoints."""
 
 
-@dataclass
-class AssocModel:
-    """Parameters of the association transform. Arrays share one dtype."""
+def param_size(dim: int) -> int:
+    """Parameter count of a d-wide transform."""
+    return 4 * (dim * dim + dim) + 3 * 2 * dim + 1
 
-    weights: list[np.ndarray]    # 4 matrices, each (d, d)
-    biases: list[np.ndarray]     # 4 vectors (d,)
-    ln_scales: list[np.ndarray]  # 3 vectors (d,)
-    ln_shifts: list[np.ndarray]  # 3 vectors (d,)
-    alpha_raw: np.ndarray        # shape (1,)
+
+def param_views(flat: np.ndarray, dim: int) -> dict[str, np.ndarray]:
+    """The tensors of a d-wide transform by name, in checkpoint order, as
+    views into `flat`, the contiguous 1-D vector that holds them all."""
+    if flat.shape != (param_size(dim),) or not flat.flags.c_contiguous:
+        raise ValueError(f"need a contiguous vector of {param_size(dim)} parameters for d={dim}")
+    shapes = []
+    for i in range(4):
+        shapes += [(f"w{i}", (dim, dim)), (f"b{i}", (dim,))]
+    for i in range(3):
+        shapes += [(f"ln{i}_scale", (dim,)), (f"ln{i}_shift", (dim,))]
+    shapes.append(("alpha_raw", (1,)))
+    views = {}
+    pos = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    return views
+
+
+class AssocModel:
+    """Parameters of the association transform: `params`, one contiguous 1-D
+    vector in checkpoint order, and every tensor as a view into it."""
+
+    def __init__(self, params: np.ndarray, dim: int):
+        self.params = params
+        views = param_views(params, dim)
+        self.weights = [views[f"w{i}"] for i in range(4)]  # (d, d) each
+        self.biases = [views[f"b{i}"] for i in range(4)]  # (d,) each
+        self.ln_scales = [views[f"ln{i}_scale"] for i in range(3)]
+        self.ln_shifts = [views[f"ln{i}_shift"] for i in range(3)]
+        self.alpha_raw = views["alpha_raw"]  # shape (1,)
+        self._views = views
 
     @property
     def dim(self) -> int:
@@ -65,7 +97,7 @@ class AssocModel:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.params.dtype
 
     @property
     def alpha(self) -> float:
@@ -79,36 +111,23 @@ class AssocModel:
             raise ValueError(f"dim must be >= 1, got {dim}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(dim)
-        weights = [rng.uniform(-bound, bound, size=(dim, dim)).astype(dtype) for _ in range(4)]
-        biases = [np.zeros(dim, dtype=dtype) for _ in range(4)]
-        ln_scales = [np.ones(dim, dtype=dtype) for _ in range(3)]
-        ln_shifts = [np.zeros(dim, dtype=dtype) for _ in range(3)]
-        return cls(weights, biases, ln_scales, ln_shifts, np.zeros(1, dtype=dtype))
+        model = cls(np.zeros(param_size(dim), dtype=dtype), dim)
+        for w in model.weights:
+            w[...] = rng.uniform(-bound, bound, size=(dim, dim))
+        for s in model.ln_scales:
+            s[...] = 1.0
+        return model
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) pairs in checkpoint order."""
-        items: list[tuple[str, np.ndarray]] = []
-        for i in range(4):
-            items.append((f"w{i}", self.weights[i]))
-            items.append((f"b{i}", self.biases[i]))
-        for i in range(3):
-            items.append((f"ln{i}_scale", self.ln_scales[i]))
-            items.append((f"ln{i}_shift", self.ln_shifts[i]))
-        items.append(("alpha_raw", self.alpha_raw))
-        return items
+        return list(self._views.items())
 
     def astype(self, dtype) -> "AssocModel":
-        return AssocModel(
-            weights=[w.astype(dtype) for w in self.weights],
-            biases=[b.astype(dtype) for b in self.biases],
-            ln_scales=[s.astype(dtype) for s in self.ln_scales],
-            ln_shifts=[s.astype(dtype) for s in self.ln_shifts],
-            alpha_raw=self.alpha_raw.astype(dtype),
-        )
+        return AssocModel(self.params.astype(dtype), self.dim)
 
 
 def param_count(model: AssocModel) -> int:
-    return sum(arr.size for _, arr in model.param_items())
+    return model.params.size
 
 
 def _gelu(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,25 +148,35 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 
 
 def _affine(model: AssocModel, h: np.ndarray, i: int, checked: bool) -> np.ndarray:
-    if not checked:
-        return h @ model.weights[i].T + model.biases[i]
-    # an overflow surfaces as the FloatingPointError below, not as a warning
-    with np.errstate(over="ignore"):
-        z = h @ model.weights[i].T + model.biases[i]
-    _check_finite(z, f"affine {i}")
+    z = h @ model.weights[i].T + model.biases[i]
+    if checked:
+        _check_finite(z, f"affine {i}")
     return z
 
 
 def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     """f of each row of x: (outputs, cache), the cache None unless `keep_cache`.
 
+    One pass under one error state, with one finiteness check, of f. A
+    non-finite f is computed again with the checks of every stage, raising
+    FloatingPointError("non-finite values after <stage>") for the first
+    affine map or layernorm that is not finite: any non-finite value there
+    leaves its row of f non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, cache = _forward_pass(model, x, keep_cache, checked=False)
+        if not np.isfinite(f).all():
+            _forward_pass(model, x, keep_cache=False, checked=True)
+    return f, cache
+
+
+def _forward_pass(model: AssocModel, x: np.ndarray, keep_cache: bool, checked: bool):
+    """`_forward`'s arithmetic, with every stage checked if `checked`.
+
     A row whose pre-normalization blend has norm <= 1e-12 comes out as zeros
     and is listed in cache["degenerate"]. A row whose layernorm mean or
     variance, or whose blend norm, overflows is normalized again after
-    scaling by its largest entry; other rows keep their bits. With the
-    cache, finiteness is checked after every affine map and layernorm,
-    raising FloatingPointError("non-finite values after <stage>"). Without
-    it nothing is checked, and the caller checks the output once.
+    scaling by its largest entry; other rows keep their bits.
     """
     x = np.ascontiguousarray(x, dtype=model.dtype)
     if x.ndim != 2 or x.shape[1] != model.dim:
@@ -159,7 +188,7 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     acts = []  # per block: (y, erf(y / sqrt(2))) with y the LN output
     inputs = [x]
     for i in range(3):
-        z = _affine(model, h, i, keep_cache)
+        z = _affine(model, h, i, checked)
         mu = np.add.reduce(z, axis=1, keepdims=True) / d
         centered = z - mu
         var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
@@ -176,7 +205,7 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
             xhat[overflowed] = scaled / sigma
             inv_sigma[overflowed] = 1.0 / (scale * sigma)
         y = xhat * model.ln_scales[i] + model.ln_shifts[i]
-        if keep_cache:
+        if checked:
             _check_finite(y, f"layernorm {i}")
         a, e = _gelu(y)
         if keep_cache:
@@ -184,7 +213,7 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
             acts.append((y, e))
             inputs.append(a)
         h = a
-    g = _affine(model, h, 3, keep_cache)
+    g = _affine(model, h, 3, checked)
 
     alpha = 1.0 / (1.0 + np.exp(-model.alpha_raw[0]))
     u = alpha * x + (1.0 - alpha) * g
@@ -219,9 +248,9 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
 
 
 def forward_batch(model: AssocModel, x: np.ndarray):
-    """The training pass: f of each row of x, checked at every stage.
-    Returns (outputs, cache). A row whose pre-normalization blend has norm
-    <= 1e-12 raises FloatingPointError."""
+    """The training pass: f of each row of x. Returns (outputs, cache). A
+    row whose pre-normalization blend has norm <= 1e-12 raises
+    FloatingPointError."""
     f, cache = _forward(model, x, keep_cache=True)
     if cache["degenerate"].size:
         raise FloatingPointError(
@@ -232,17 +261,8 @@ def forward_batch(model: AssocModel, x: np.ndarray):
 
 def _infer(model: AssocModel, x: np.ndarray) -> np.ndarray:
     """The inference pass: f of each row of the 2-D x, bit for bit as
-    forward_batch computes it, with degenerate rows as zeros.
-
-    No cache, one error state and one finiteness check, of the output. A
-    non-finite output is computed again with the checks of every stage, so
-    the error names the stage, as forward_batch's does.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, _ = _forward(model, x, keep_cache=False)
-    if not np.isfinite(out).all():
-        out, _ = _forward(model, x, keep_cache=True)
-    return out
+    forward_batch computes it, with degenerate rows as zeros."""
+    return _forward(model, x, keep_cache=False)[0]
 
 
 def forward(model: AssocModel, x: np.ndarray) -> np.ndarray:
@@ -251,39 +271,49 @@ def forward(model: AssocModel, x: np.ndarray) -> np.ndarray:
     return _infer(model, np.asarray(x)[None, :])[0]
 
 
-def backward_batch(model: AssocModel, cache: dict, df: np.ndarray) -> dict[str, np.ndarray]:
+class Gradients(dict):
+    """Parameter gradients by tensor name, each a view into `flat`, which
+    holds them all in checkpoint order."""
+
+    def __init__(self, flat: np.ndarray, dim: int):
+        super().__init__(param_views(flat, dim))
+        self.flat = flat
+
+
+def backward_batch(model: AssocModel, cache: dict, df: np.ndarray) -> Gradients:
     """Parameter gradients given d(loss)/d(outputs) for a forward_batch call."""
     x = cache["inputs"][0]
     f = cache["f"]
     norms = cache["norms"]
     alpha = cache["alpha"]
     g = cache["g"]
+    d = model.dim
+    grads = Gradients(np.empty_like(model.params), d)
 
     # normalize: u -> u / ||u||
     du = (df - f * (df * f).sum(axis=1, keepdims=True)) / norms
     dalpha = float((du * (x - g)).sum())
-    dalpha_raw = np.array([dalpha * alpha * (1.0 - alpha)], dtype=model.dtype)
+    grads["alpha_raw"][0] = dalpha * alpha * (1.0 - alpha)
     dg = (1.0 - alpha) * du
 
-    grads: dict[str, np.ndarray] = {"alpha_raw": dalpha_raw}
     dh = dg
-    grads["w3"] = dh.T @ cache["inputs"][3]
-    grads["b3"] = dh.sum(axis=0)
+    np.matmul(dh.T, cache["inputs"][3], out=grads["w3"])
+    np.add.reduce(dh, axis=0, out=grads["b3"])
     dh = dh @ model.weights[3]
     for i in (2, 1, 0):
         y, e = cache["acts"][i]
         dh = dh * _gelu_grad(y, e)
         xhat, inv_sigma = cache["lns"][i]
-        grads[f"ln{i}_scale"] = (dh * xhat).sum(axis=0)
-        grads[f"ln{i}_shift"] = dh.sum(axis=0)
+        np.add.reduce(dh * xhat, axis=0, out=grads[f"ln{i}_scale"])
+        np.add.reduce(dh, axis=0, out=grads[f"ln{i}_shift"])
         dxhat = dh * model.ln_scales[i]
         dz = inv_sigma * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d)
         )
-        grads[f"w{i}"] = dz.T @ cache["inputs"][i]
-        grads[f"b{i}"] = dz.sum(axis=0)
+        np.matmul(dz.T, cache["inputs"][i], out=grads[f"w{i}"])
+        np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
         dh = dz @ model.weights[i]
     return grads
 
@@ -323,13 +353,8 @@ def transform_matrix(
 
 
 def save_model(model: AssocModel, path: str) -> None:
-    buf = io.BytesIO()
-    buf.write(MODEL_MAGIC)
-    buf.write(struct.pack("<I", MODEL_VERSION))
-    buf.write(struct.pack("<I", model.dim))
-    for _, arr in model.param_items():
-        buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    write_atomic(path, buf.getvalue())
+    header = MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, model.dim)
+    write_atomic(path, header + model.params.astype("<f4", copy=False).tobytes())
 
 
 def load_model(path: str) -> AssocModel:
@@ -345,18 +370,14 @@ def load_model(path: str) -> AssocModel:
     (dim,) = struct.unpack("<I", raw[8:12])
     if dim < 1:
         raise CheckpointError(f"invalid dim {dim}")
-    expected = 4 * (dim * dim + dim) + 3 * 2 * dim + 1
-    payload = raw[12:]
-    if len(payload) != expected * 4:
+    expected = param_size(dim)
+    payload_bytes = len(raw) - 12
+    if payload_bytes != expected * 4:
         raise CheckpointError(
-            f"payload holds {len(payload) // 4} floats, expected {expected} for d={dim}"
+            f"payload holds {payload_bytes // 4} floats, expected {expected} for d={dim}"
         )
-    flat = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(flat).all():
+    # a native, writable copy of the little-endian payload
+    params = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float32)
+    if not np.isfinite(params).all():
         raise CheckpointError("non-finite parameter values")
-    model = AssocModel.initialize(dim, seed=0)
-    pos = 0
-    for _, arr in model.param_items():
-        arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-    return model
+    return AssocModel(params, dim)

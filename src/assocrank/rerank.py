@@ -159,12 +159,11 @@ def score_pool(
     # no queries make one empty block, whose (0, K) arrays top_k returns
     for lo in range(0, len(q) or 1, _QUERY_BLOCK):
         block = q[lo : lo + _QUERY_BLOCK]
+        # a fault of the whole call, such as K out of range, names no query
         try:
             rows, sims = top_k(block, passages, config.pool_depth)
-        except ValueError as exc:
-            # a fault of the whole call, such as K out of range, names the block's first query
-            index = lo + (exc.index if isinstance(exc, QueryError) else 0)
-            raise ValueError(f"query {ids[index]!r}: {exc}") from None
+        except QueryError as exc:
+            raise ValueError(f"query {ids[lo + exc.index]!r}: {exc}") from None
         assocs = np.empty_like(sims)
         for i, query in enumerate(block):
             fq = forward(model, query)

@@ -84,9 +84,11 @@ class TrainReport:
         }
 
 
-def _log_softmax_rows(s: np.ndarray) -> np.ndarray:
+def _log_softmax_diag(s: np.ndarray) -> np.ndarray:
+    """The diagonal of the row-wise log-softmax of the square `s`."""
     shifted = s - s.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    diag = np.arange(len(s))
+    return shifted[diag, diag] - np.log(np.exp(shifted).sum(axis=1))
 
 
 def symmetric_ce_loss(logits: np.ndarray) -> float:
@@ -101,9 +103,8 @@ def symmetric_ce_loss(logits: np.ndarray) -> float:
     b = s.shape[0]
     if b == 0:
         raise ValueError("empty logit matrix")
-    diag = np.arange(b)
-    row = -_log_softmax_rows(s)[diag, diag].mean()
-    col = -_log_softmax_rows(s.T)[diag, diag].mean()
+    row = -_log_softmax_diag(s).mean()
+    col = -_log_softmax_diag(s.T).mean()
     return float(0.5 * (row + col))
 
 
@@ -142,9 +143,12 @@ def backward(
         za, zb = z[:b], z[b:]
         s = (za @ zb.T) / tau
         loss = symmetric_ce_loss(s)
-        p = _softmax_rows(s)
-        q = _softmax_rows(s.T).T
-        ds = ((p + q - 2.0 * np.eye(b, dtype=s.dtype)) / (2.0 * b)).astype(model.dtype)
+        # (P + Q - 2I) / 2B, with P and Q the row and column softmaxes
+        ds = _softmax_rows(s)
+        ds += _softmax_rows(s.T).T
+        diag = np.arange(b)
+        ds[diag, diag] -= 2.0
+        ds /= 2.0 * b
         dza = (ds @ zb) / tau
         dzb = (ds.T @ za) / tau
         df = np.concatenate([dza, dzb], axis=0)
@@ -188,32 +192,31 @@ def backward(
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a named parameter dict."""
+    """Decoupled weight decay Adam over one flat parameter vector, updated in
+    place; its moments share the vector's layout."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
+    def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
         self.beta1 = config.adam_beta1
         self.beta2 = config.adam_beta2
         self.eps = config.adam_eps
         self.weight_decay = config.weight_decay
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        """One update of `params` by the gradient `grad` of the same shape."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * self.weight_decay * p
-            p -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+        p, m, v = self.params, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (grad * grad)
+        p -= lr * self.weight_decay * p
+        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
 
 
 def cosine_lr(epoch: int, epochs: int, base_lr: float, min_lr_fraction: float) -> float:
@@ -283,7 +286,7 @@ def train(
         return model, report
 
     rng = np.random.default_rng(config.seed)
-    opt = AdamW(dict(model.param_items()), config)
+    opt = AdamW(model.params, config)
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.learning_rate, config.min_lr_fraction)
         order = rng.permutation(n)
@@ -303,7 +306,7 @@ def train(
                     )
                 ]
             grads, loss = backward(model, xa, xb, config, negatives=negatives)
-            opt.step(grads, lr)
+            opt.step(grads.flat, lr)
             loss_sum += loss * chunk.size
             seen += chunk.size
         report.epoch_losses.append(loss_sum / seen)

@@ -13,9 +13,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from assocrank import cli, evaluation, rerank
+from assocrank import cli, evaluation, rerank, training
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, transform_matrix
+from assocrank.pairs import AssocPairSet
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -85,3 +86,30 @@ def test_eval_reaches_the_traced_stages(calls, tmp_path):
     counts = calls((rerank, "rank_rows"), (evaluation, "evaluate_system"))
     assert cli.main(["eval"] + argv) == 0
     assert counts == {"assocrank.rerank.rank_rows": 1, "assocrank.evaluation.evaluate_system": 2}
+
+
+def test_train_reaches_the_traced_stages(calls):
+    rng = np.random.default_rng(1)
+    data = rng.normal(size=(24, 8)).astype(np.float32)
+    passages = EmbeddingMatrix([f"p{i}" for i in range(24)], data)
+    pairs = [(f"p{i}", f"p{i + 12}") for i in range(12)]
+    pair_set = AssocPairSet(pairs=pairs, pair_splits=[frozenset({"train"})] * 12)
+    counts = calls(
+        (training, "backward"),
+        (training, "forward_batch"),
+        (training, "backward_batch"),
+        (training, "symmetric_ce_loss"),
+        (training, "training_accuracy"),
+        (training.AdamW, "step"),
+    )
+    config = training.TrainConfig(batch_size=4, epochs=2)
+    training.train(AssocModel.initialize(8, seed=0), pair_set, passages, config)
+    # 3 batches an epoch, each one step; the accuracy pass runs 2 forwards per batch
+    assert counts == {
+        "assocrank.training.backward": 6,
+        "assocrank.training.forward_batch": 6 + 3 * 2,
+        "assocrank.training.backward_batch": 6,
+        "assocrank.training.symmetric_ce_loss": 6,
+        "assocrank.training.training_accuracy": 1,
+        "AdamW.step": 6,
+    }

@@ -276,6 +276,61 @@ class TestForward:
         assert np.isfinite(out).all()
         assert abs(np.linalg.norm(out.astype(np.float64)) - 1.0) < 1e-6
 
+    STAGES = ["affine 0", "layernorm 0", "affine 1", "layernorm 1", "affine 2", "layernorm 2", "affine 3"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("alpha_raw", [-20.0, 0.3, 20.0])
+    def test_a_non_finite_stage_leaves_every_row_of_f_non_finite(self, stage, value, alpha_raw):
+        # forward_batch checks f alone and recomputes a non-finite f with the
+        # check of every stage, so each stage's non-finite values must reach f.
+        # At alpha_raw = 20 the gate is exactly 1 and g enters f as 0 * g;
+        # the zeroed weights make the next affine map meet them as inf * 0
+        model = perturbed_model(8, seed=5)
+        model.alpha_raw[:] = alpha_raw
+        kind, i = stage.split()
+        i = int(i)
+        if kind == "affine":
+            model.biases[i][3] = value
+        else:
+            model.ln_shifts[i][3] = value
+        if i + 1 < 4:
+            model.weights[i + 1][:, 3] = 0.0
+        x = np.random.default_rng(18).normal(size=(4, 8)).astype(np.float32)
+        with np.errstate(all="ignore"):
+            f, _ = model_module._forward_pass(model, x, keep_cache=False, checked=False)
+        assert not np.isfinite(f).any(axis=1).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"^non-finite values after {stage}$"):
+                forward_batch(model, x)
+            with pytest.raises(FloatingPointError, match=f"^non-finite values after {stage}$"):
+                forward(model, x[0])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 3e38])
+    def test_a_non_finite_input_row_leaves_its_row_of_f_non_finite(self, value):
+        model = perturbed_model(8, seed=6)
+        model.weights[0][:] = 3e38  # 3e38 * 3e38 overflows
+        x = np.random.default_rng(19).normal(size=(4, 8)).astype(np.float32) * 1e-38
+        x[2, 5] = value
+        with np.errstate(all="ignore"):
+            f, _ = model_module._forward_pass(model, x, keep_cache=False, checked=False)
+        assert (~np.isfinite(f).all(axis=1)).nonzero()[0].tolist() == [2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^non-finite values after affine 0$"):
+                forward_batch(model, x)
+
+    def test_a_row_of_1e38_trains_without_warnings(self):
+        model = AssocModel.initialize(64, seed=0)
+        x = np.full((1, 64), 1e38, np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, cache = forward_batch(model, x)
+            grads = model_module.backward_batch(model, cache, np.ones_like(f))
+        assert abs(np.linalg.norm(f.astype(np.float64)) - 1.0) < 1e-6
+        assert np.isfinite(grads.flat).all()
+
 
 class TestCopyAstype:
     def test_astype_dtype(self):
@@ -307,7 +362,8 @@ class TestTransformMatrix:
         """Reference: one checked pass per block of `batch` rows, in order."""
         out = np.empty_like(data)
         for start in range(0, data.shape[0], batch):
-            block, _ = model_module._forward(model, data[start : start + batch], keep_cache=True)
+            rows = data[start : start + batch]
+            block, _ = model_module._forward_pass(model, rows, keep_cache=False, checked=True)
             out[start : start + batch] = block
         return out
 
@@ -420,6 +476,45 @@ class TestTransformMatrix:
         assert parallel._blas_threads() == threads
 
 
+class TestFlatLayout:
+    @staticmethod
+    def assert_views_into_params(model):
+        """Every tensor is a view into model.params, in checkpoint order."""
+        params = model.params
+        assert params.ndim == 1 and params.flags.c_contiguous and params.flags.writeable
+        start = params.__array_interface__["data"][0]
+        pos = 0
+        for name, arr in model.param_items():
+            assert arr.base is params, name
+            assert arr.__array_interface__["data"][0] == start + pos * params.itemsize, name
+            pos += arr.size
+        assert pos == params.size == param_count(model)
+
+    def test_initialize_load_and_astype_give_views_into_one_vector(self, tmp_path):
+        model = perturbed_model(6, seed=2)
+        self.assert_views_into_params(model)
+        path = tmp_path / "m.aarm"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        self.assert_views_into_params(loaded)
+        for copy in (model.astype(np.float64), loaded.astype(np.float32)):
+            self.assert_views_into_params(copy)
+            assert not np.shares_memory(copy.params, model.params)
+            assert not np.shares_memory(copy.params, loaded.params)
+
+    def test_a_write_to_the_vector_shows_in_every_tensor(self):
+        model = AssocModel.initialize(3, seed=0)
+        model.params[:] = np.arange(model.params.size)
+        flat = np.concatenate([arr.ravel() for _, arr in model.param_items()])
+        assert flat.tolist() == list(range(model.params.size))
+        assert model.alpha_raw[0] == model.params.size - 1
+
+    def test_a_vector_that_cannot_hold_the_views_is_rejected(self):
+        for params in (np.zeros(36, np.float32), np.zeros(74, np.float32)[::2]):
+            with pytest.raises(ValueError, match="contiguous vector of 37 parameters for d=2"):
+                AssocModel(params, 2)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = perturbed_model(13, seed=8)
@@ -429,6 +524,18 @@ class TestCheckpoint:
         for (na, pa), (nb, pb) in zip(model.param_items(), back.param_items()):
             assert na == nb
             assert pa.tobytes() == pb.tobytes()
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        model = perturbed_model(13, seed=8)
+        first, second = tmp_path / "a.aarm", tmp_path / "b.aarm"
+        save_model(model, str(first))
+        save_model(load_model(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+        # the payload is every tensor in checkpoint order, little-endian
+        payload = b"".join(arr.astype("<f4").tobytes() for _, arr in model.param_items())
+        assert first.read_bytes()[12:] == payload
+        save_model(model.astype(np.float64), str(second))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_header_layout(self, tmp_path):
         model = AssocModel.initialize(3, seed=0)

@@ -294,6 +294,16 @@ class TestScorePool:
         assert rank_rows(scored, 0.5, 2).shape == (0, 2)
 
 
+    @pytest.mark.parametrize("n_queries", [0, 1, 70])
+    def test_a_pool_deeper_than_the_corpus_names_no_query(self, n_queries):
+        passages = EmbeddingMatrix(ids=["p0", "p1"], data=np.eye(2, 4, dtype=np.float32))
+        model = AssocModel.initialize(4, seed=0)
+        transformed = transform_matrix(model, passages)
+        queries = np.ones((n_queries, 4), np.float32)
+        ids = [f"q{i}" for i in range(n_queries)]
+        with pytest.raises(ValueError, match=r"^K=3 out of range for 2 passages$"):
+            score_pool(ids, queries, passages, transformed, model, RerankConfig(pool_depth=3, cutoff=1))
+
 class TestRerankQuery:
     def test_nan_query_error_names_the_query(self):
         passages = EmbeddingMatrix(ids=[f"p{i}" for i in range(4)], data=np.eye(4, dtype=np.float32))

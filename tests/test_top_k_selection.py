@@ -279,28 +279,41 @@ class TestChunks:
         data = rng.integers(-2, 3, size=(n, self.D)).astype(np.float32)
         queries = rng.integers(-2, 3, size=(6, self.D)).astype(np.float32)
         m = matrix_from(data)
-        # K = 6 leaves the last chunk of 2 * ROWS + 1 rows, and of ROWS + 1,
-        # with fewer rows than K
+        # K = 6 leaves a last chunk with fewer rows than K: on two threads,
+        # one row of 2 * ROWS + 1 for the block, and on three, 5 of ROWS + 1
         for k in sorted({1, 6, n // 2 + 1, n}):
             for q in queries:
                 assert_equals_exact_top_k(q, data, k, top_k(q, m, k))
             assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
 
-    def test_real_chunk_size(self, pool_of):
+    def test_real_chunk_size(self, pool_of, monkeypatch):
+        # on two threads, one query and a block of three search two halves
+        # of the rows, and a block of 64 chunks of _CHUNK_ENTRIES // d rows
         pool_of(2)
         d = 64
         rows = search._CHUNK_ENTRIES // d
+        chunks = []
+        map_chunks = search.map_chunks
+        monkeypatch.setattr(search, "map_chunks", lambda fn, n: chunks.append(n) or map_chunks(fn, n))
         rng = np.random.default_rng(7)
         data = rng.normal(size=(2 * rows + 1, d)).astype(np.float32)
         queries = rng.normal(size=(3, d)).astype(np.float32)
-        # the best rows sit in the last chunk, which holds one row, and on
-        # both sides of the first boundary
-        data[[rows - 1, rows, 2 * rows]] = queries[0] * 2
+        # the best rows sit on both sides of the first boundary of the
+        # 64-query chunks and of the halves' boundary after row rows + 1,
+        # and in the last 64-query chunk, which holds one row
+        best = [rows - 1, rows, rows + 1, 2 * rows]
+        data[best] = queries[0] * 2
         m = matrix_from(data)
+        block = queries[np.arange(64) % 3]
         for k in (1, 5, 100):
             assert_equals_exact_top_k(queries[0], data, k, top_k(queries[0], m, k))
             assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
-        assert top_k(queries[0], m, 3)[0].tolist() == [rows - 1, rows, 2 * rows]
+            block_rows, block_scores = top_k(block, m, k)
+            assert_equals_exact_top_k(queries, data, k, (block_rows[:3], block_scores[:3]))
+            assert block_rows.tolist() == block_rows[np.arange(64) % 3].tolist()
+            assert block_scores.tobytes() == block_scores[np.arange(64) % 3].tobytes()
+        assert chunks == [2, 2, 3] * 3
+        assert top_k(queries[0], m, 4)[0].tolist() == best
 
     def test_equal_rows_across_a_boundary_go_to_the_lower_row(self, threads):
         rng = np.random.default_rng(3)
@@ -330,8 +343,9 @@ class TestChunks:
             assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
 
     def test_many_rows_within_eps_of_the_kth_score(self, threads, monkeypatch):
-        # as in TestBlocks, with the near-copies in the second of two chunks,
-        # so that its window, not only the union's, must reach 2 * eps
+        # as in TestBlocks, with the near-copies across the boundary of two
+        # chunks or inside the second of three, so that a chunk's window, not
+        # only the union's, must reach 2 * eps
         monkeypatch.setattr(search, "_CHUNK_ENTRIES", 512 * 64)
         rng = np.random.default_rng(41)
         d, k = 64, 50
@@ -390,8 +404,8 @@ class TestChunks:
             searcher.start()
             searcher.join(timeout=30)
             assert not searcher.is_alive()
-            # the searching thread ran all 5 chunks, and then the union
-            assert ran_on == [searcher.ident] * 6
+            # the searching thread ran both chunks, and then the union
+            assert ran_on == [searcher.ident] * 3
             assert_equals_exact_top_k(q, data, 3, found["top"])
         finally:
             hold.set()

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from adamw_reference import TensorAdamW
 from gradcheck import gradient_check
 
 from assocrank.embeddings import EmbeddingMatrix
-from assocrank.model import AssocModel
+from assocrank.model import AssocModel, param_views
 from assocrank.pairs import AssocPairSet, extract_pairs
 from assocrank.synthetic import SyntheticSpec, generate_full
 from assocrank.training import (
@@ -161,9 +162,8 @@ class TestAdamW:
         params = dict(model.param_items())
         before = {k: v.copy() for k, v in params.items()}
         cfg = TrainConfig(weight_decay=0.1)
-        opt = AdamW(params, cfg)
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        opt.step(grads, lr=0.5)
+        opt = AdamW(model.params, cfg)
+        opt.step(np.zeros_like(model.params), lr=0.5)
         # every parameter, gate and norms included, shrinks by lr*wd
         for name, arr in params.items():
             assert np.array_equal(arr, before[name] - 0.5 * 0.1 * before[name]), name
@@ -174,10 +174,10 @@ class TestAdamW:
         g1 = rng.normal(size=(3, 3)).astype(np.float32)
         g2 = rng.normal(size=(3, 3)).astype(np.float32)
         cfg = TrainConfig(weight_decay=0.05)
-        params = {"w": p.copy()}
-        opt = AdamW(params, cfg)
-        opt.step({"w": g1}, lr=1e-2)
-        opt.step({"w": g2}, lr=5e-3)
+        w = p.copy()
+        opt = AdamW(w.reshape(-1), cfg)
+        opt.step(g1.reshape(-1), lr=1e-2)
+        opt.step(g2.reshape(-1), lr=5e-3)
 
         ref = p.astype(np.float32).copy()
         m = np.zeros_like(ref)
@@ -189,16 +189,37 @@ class TestAdamW:
             mh = m / (1 - cfg.adam_beta1**t)
             vh = v / (1 - cfg.adam_beta2**t)
             ref = ref - lr * mh / (np.sqrt(vh) + cfg.adam_eps)
-        assert np.abs(params["w"] - ref).max() < 1e-6
+        assert np.abs(w - ref).max() < 1e-6
 
     def test_first_step_is_signlike(self):
         # with fresh moments the bias-corrected update is g/(|g|+eps)
-        params = {"w": np.zeros(4, dtype=np.float32)}
-        opt = AdamW(params, TrainConfig(weight_decay=0.0))
+        w = np.zeros(4, dtype=np.float32)
+        opt = AdamW(w, TrainConfig(weight_decay=0.0))
         g = np.array([0.5, -2.0, 1e-3, 0.0], dtype=np.float32)
-        opt.step({"w": g}, lr=0.1)
+        opt.step(g, lr=0.1)
         expected = -0.1 * np.sign(g) * (np.abs(g) / (np.abs(g) + 1e-8))
-        assert np.abs(params["w"] - expected).max() < 1e-7
+        assert np.abs(w - expected).max() < 1e-7
+
+    def test_flat_steps_equal_the_per_tensor_loop_bit_for_bit(self):
+        cfg = TrainConfig(weight_decay=10.0)
+        flat_model = AssocModel.initialize(8, seed=5)
+        tensor_model = AssocModel.initialize(8, seed=5)
+        opt = AdamW(flat_model.params, cfg)
+        ref = TensorAdamW({k: v.copy() for k, v in tensor_model.param_items()}, cfg)
+        rng = np.random.default_rng(12)
+        steps = 1200
+        for step in range(steps):
+            # gradients of several scales, with exact zeros among them
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=flat_model.params.size)
+            grad[rng.random(grad.size) < 0.05] = 0.0
+            grad = grad.astype(np.float32)
+            lr = cosine_lr(step // 10, steps // 10, 3e-3, 0.1)
+            opt.step(grad, lr)
+            ref.step(param_views(grad, 8), lr)
+        for name, arr in flat_model.param_items():
+            assert arr.tobytes() == ref.params[name].tobytes(), name
+        assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref.m.values()]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref.v.values()]).tobytes()
 
 
 class TestCosineSchedule:
