@@ -18,6 +18,7 @@ import numpy as np
 from assocrank import rerank
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, TransformedMatrix
+from assocrank.parallel import map_chunks
 from assocrank.pairs import QuestionRecord
 from assocrank.rerank import RerankConfig, ScoredPool
 
@@ -160,12 +161,27 @@ def paired_bootstrap_ci(deltas: np.ndarray, resamples: int = 10000, seed: int = 
     rows = d.reshape(-1, d.shape[-1])
     rng = np.random.default_rng(seed)
     means = np.empty((len(rows), resamples), dtype=np.float64)
+    # index draws in blocks of this many resamples: 4 MB of int64 for 500
+    # items; the generator keeps its unused 32-bit halves between calls, so
+    # the blocks take the same stream as one draw would
     block = 1000
-    for lo in range(0, resamples, block):
-        hi = min(lo + block, resamples)
-        idx = rng.integers(0, rows.shape[1], size=(hi - lo, rows.shape[1]))
+    starts = range(0, resamples, block)
+
+    def draw(lo: int) -> np.ndarray:
+        return rng.integers(0, rows.shape[1], size=(min(lo + block, resamples) - lo, rows.shape[1]))
+
+    def fill(lo: int, idx: np.ndarray) -> None:
         for row, out in zip(rows, means):
-            out[lo:hi] = row[idx].mean(axis=1)
+            out[lo : lo + len(idx)] = row[idx].mean(axis=1)
+
+    idx = draw(0)
+    for lo, next_lo in zip(starts, starts[1:]):
+        # the next block is drawn beside this block's means, on a helper
+        # where one is free, and after them on the caller otherwise, while
+        # this block is still in cache; either way the blocks are drawn in
+        # order, so the generator's stream is consumed as in one loop
+        _, idx = map_chunks(lambda chunk: draw(next_lo) if chunk else fill(lo, idx), 2)
+    fill(starts[-1], idx)
     cis = [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]
     return cis if d.ndim == 2 else cis[0]
 

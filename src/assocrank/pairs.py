@@ -15,7 +15,9 @@ import io
 import itertools
 import json
 import logging
+import re
 from dataclasses import dataclass, field, fields
+from json.decoder import scanstring
 
 import numpy as np
 
@@ -97,50 +99,56 @@ def _text_lines(path: str):
 
 
 def _json_objects(path: str, kinds: dict[str, str]):
-    """For each non-blank line of a JSON-lines file, its fields named in
-    `kinds`, each checked as its type by `check_type`. A line that is not
-    UTF-8, not valid JSON (an integer too long to convert and arrays nested
-    too deep to decode included), not a JSON object or missing a field raises
-    ValueError naming path:lineno.
-
-    Each line is decoded once. A line that decodes to one object ending at
-    the line's end, with every field present and every "str" field a string,
-    yields at once (its other fields still go through `check_type`). Any
-    other line is parsed again by `json.loads` and checked field by field,
-    which raises the error that names its fault."""
-    decode = json.JSONDecoder().raw_decode
+    """`_json_object` of each non-blank line of a JSON-lines file. A line
+    that is not UTF-8 raises ValueError naming path:lineno."""
     for lineno, line in enumerate(_text_lines(path), 1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            raw, end = decode(line)
-        except (ValueError, RecursionError):
-            end = -1
-        # plain loops: a comprehension per line costs more than the checks
-        if end == len(line) and type(raw) is dict and kinds.keys() <= raw.keys():
-            values = {}
-            for name, kind in kinds.items():
-                value = raw[name]
-                if kind != "str":
-                    value = check_type(f"{path}:{lineno}: {name}", value, kind)
-                elif type(value) is not str:
-                    break
-                values[name] = value
-            else:
-                yield values
-                continue
-        where = f"{path}:{lineno}"
-        try:
-            raw = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{where}: invalid JSON ({exc})") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"{where}: not a JSON object")
-        missing = [name for name in kinds if name not in raw]
-        if missing:
-            raise ValueError(f"{where}: missing field {missing[0]!r}")
-        yield {name: check_type(f"{where}: {name}", raw[name], kinds[name]) for name in kinds}
+        if line:
+            yield _json_object(line, path, lineno, kinds)
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _json_object(line: str, path: str, lineno: int, kinds: dict[str, str]) -> dict:
+    """The fields named in `kinds` of one stripped line, line `lineno` of
+    `path`, each checked as its type by `check_type`. A line that is not
+    valid JSON (an integer too long to convert and arrays nested too deep to
+    decode included), not a JSON object or missing a field raises ValueError
+    naming path:lineno.
+
+    The line is decoded once. A line that decodes to one object ending at
+    the line's end, with every field present and every "str" field a string,
+    is returned at once (its other fields still go through `check_type`).
+    Any other line is parsed again by `json.loads` and checked field by
+    field, which raises the error that names its fault."""
+    try:
+        raw, end = _decode(line)
+    except (ValueError, RecursionError):
+        end = -1
+    # plain loops: a comprehension per line costs more than the checks
+    if end == len(line) and type(raw) is dict and kinds.keys() <= raw.keys():
+        values = {}
+        for name, kind in kinds.items():
+            value = raw[name]
+            if kind != "str":
+                value = check_type(f"{path}:{lineno}: {name}", value, kind)
+            elif type(value) is not str:
+                break
+            values[name] = value
+        else:
+            return values
+    where = f"{path}:{lineno}"
+    try:
+        raw = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    missing = [name for name in kinds if name not in raw]
+    if missing:
+        raise ValueError(f"{where}: missing field {missing[0]!r}")
+    return {name: check_type(f"{where}: {name}", raw[name], kinds[name]) for name in kinds}
 
 
 def _save_json_objects(objects, path: str) -> None:
@@ -164,10 +172,44 @@ def save_records(records: list[QuestionRecord], path: str) -> None:
     _save_json_objects((rec.to_json_dict() for rec in records), path)
 
 
+_TEXT_KINDS = {"passage_id": "str", "text": "str"}
+# a JSON string as `json.dumps` writes it: no raw `"`, `\` or control
+# character, and each `\` starts a two-character escape (`\u` takes four
+# more characters, which stay in the run after it)
+_STRING = r'"([^"\\\x00-\x1f]*+(?:\\.[^"\\\x00-\x1f]*+)*+)"'
+# a line as `save_texts` writes it
+_TEXT_LINE = re.compile(r'\{"passage_id": ' + _STRING + r', "text": ' + _STRING + r'\}')
+
+
 def load_texts(path: str) -> dict[str, str]:
-    """Passage id -> text from a JSON-lines file written by save_texts."""
-    lines = _json_objects(path, {"passage_id": "str", "text": "str"})
-    return {values["passage_id"]: values["text"] for values in lines}
+    """Passage id -> text from a JSON-lines file written by save_texts; a
+    repeated id keeps its first place and its last text.
+
+    Every line `save_texts` writes matches one regex. A line with no
+    backslash has nothing escaped, so its strings are the matched
+    characters; the strings of any other matched line are decoded by
+    `json`'s own string scanner. A line that does not match, or holds an
+    invalid escape, is read by `_json_object`, which gives the values or the
+    error of any line."""
+    texts = {}
+    match = _TEXT_LINE.fullmatch
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if found := match(line):
+            if "\\" not in line:
+                texts[found[1]] = found[2]
+                continue
+            try:
+                pid = scanstring(line, found.start(1), True)[0]
+                texts[pid] = scanstring(line, found.start(2), True)[0]
+                continue
+            except ValueError:
+                pass  # an invalid escape, which `_json_object` names
+        values = _json_object(line, path, lineno, _TEXT_KINDS)
+        texts[values["passage_id"]] = values["text"]
+    return texts
 
 
 def save_texts(texts: dict[str, str], path: str) -> None:

@@ -25,6 +25,7 @@ NaN is scored exactly on every row instead.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -62,8 +63,9 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
     `queries` is one query of shape (d,) or a block of shape (Q, d). Returns
     (rows, scores): int64 row indices and their float32 scores, best first,
     of shape (K,) for one query and (Q, K) for a block. A query's result does
-    not depend on the block it is in. Raises QueryError when fewer than K of
-    a query's scores are not NaN.
+    not depend on the block it is in. K is an int or a numpy integer, not a
+    bool. Raises QueryError when fewer than K of a query's scores are not
+    NaN.
 
     Where `parallel` has helper threads, a matrix of more than
     `_CHUNK_ENTRIES` entries is searched in chunks of contiguous rows by
@@ -76,6 +78,9 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
     q = np.asarray(queries, dtype=np.float32)
     if q.ndim not in (1, 2) or q.shape[-1] != passages.dim:
         raise ValueError(f"query shape {q.shape} does not match passage dim {passages.dim}")
+    # a plain int skips the ABC check, which costs about 0.3 us
+    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+        raise ValueError(f"K must be an integer, got {k!r}")
     if not 1 <= k <= passages.rows:
         raise ValueError(f"K={k} out of range for {passages.rows} passages")
     data, d = passages.data, passages.dim

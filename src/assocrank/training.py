@@ -12,7 +12,6 @@ float32, loss values accumulated in float64.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,8 +21,6 @@ import numpy as np
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, backward_batch, forward_batch
 from assocrank.pairs import AssocPairSet
-
-logger = logging.getLogger(__name__)
 
 NEGATIVE_MODES = ("in_batch", "random_sampled")
 

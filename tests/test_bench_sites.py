@@ -8,12 +8,13 @@ its per-layer metric.
 
 import os
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from assocrank import cli, evaluation, rerank, training
+from assocrank import cli, evaluation, parallel, rerank, training
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, transform_matrix
 from assocrank.pairs import AssocPairSet
@@ -64,7 +65,8 @@ def test_rerank_query_reaches_the_traced_stages(calls):
     }
 
 
-def test_eval_reaches_the_traced_stages(calls, tmp_path):
+def eval_argv(tmp_path, **more):
+    """`--set` arguments for a small pipeline in `tmp_path`."""
     settings = {
         "passages": tmp_path / "passages.aare",
         "queries": tmp_path / "queries.aare",
@@ -79,10 +81,16 @@ def test_eval_reaches_the_traced_stages(calls, tmp_path):
         "train.epochs": 1,
         "train.batch_size": 4,
         "rerank.pool_depth": 20,
+        **more,
     }
     argv = [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
     for command in ("synth", "pairs", "train"):
         assert cli.main([command] + argv) == 0
+    return argv
+
+
+def test_eval_reaches_the_traced_stages(calls, tmp_path):
+    argv = eval_argv(tmp_path)
     counts = calls((rerank, "rank_rows"), (evaluation, "evaluate_system"))
     assert cli.main(["eval"] + argv) == 0
     assert counts == {"assocrank.rerank.rank_rows": 1, "assocrank.evaluation.evaluate_system": 2}
@@ -113,3 +121,45 @@ def test_train_reaches_the_traced_stages(calls):
         "assocrank.training.training_accuracy": 1,
         "AdamW.step": 6,
     }
+
+
+def test_traced_functions_run_on_the_calling_thread(pool_of, monkeypatch, tmp_path):
+    """The tracer's span stack is not thread-safe, so no traced function may
+    run on a `parallel` helper: not in a split search, a transform of several
+    blocks or the bootstrap's overlapped draws."""
+    pool_of(2)
+    api = harness.product_api()
+    caller = threading.get_ident()
+    off_thread = []
+    for owner, attr, name, _ in harness.trace_sites(api):
+
+        def recording(*args, _real=getattr(owner, attr), _name=name, **kwargs):
+            if threading.get_ident() != caller:
+                off_thread.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recording)
+    # each path must offer work to the helpers, or it checks nothing
+    offered = []
+    task_init = parallel._Task.__init__
+    monkeypatch.setattr(parallel._Task, "__init__", lambda task, fn, n: offered.append(n) or task_init(task, fn, n))
+
+    # 300 questions, so that the caller's means for the first 1,000
+    # resamples outlast a helper's wake-up and the helper makes the draws
+    argv = eval_argv(tmp_path, **{"eval.resamples": 2000, "synth.n_passages": 600, "synth.n_questions": 300})
+    offered.clear()
+    assert api.cli_main(["eval"] + argv) == 0
+    assert offered == [2]  # the draws of the second 1,000 resamples
+
+    rng = np.random.default_rng(2)
+    rows = (1 << 20) // 64 + 4000  # more than 2^20 entries, so the search splits
+    passages = EmbeddingMatrix([f"p{i}" for i in range(rows)], rng.normal(size=(rows, 64)).astype(np.float32))
+    model = AssocModel.initialize(64, seed=0)
+    offered.clear()
+    transformed = api.transform_matrix(model, passages)
+    assert offered and offered[0] > 1
+    offered.clear()
+    config = rerank.RerankConfig(pool_depth=10, cutoff=3)
+    api.rerank_query("q", passages.data[0], passages, transformed, model, config)
+    assert offered == [2]
+    assert off_thread == []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from bootstrap_reference import sequential_bootstrap_ci
 
 from assocrank import evaluation
 from assocrank.embeddings import EmbeddingMatrix
@@ -191,6 +192,17 @@ class TestBootstrap:
             means = np.array([d[row].mean() for row in idx])
             want = (float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5)))
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("resamples", [1, 999, 1000, 1001, 10_000])
+    def test_equals_the_sequential_loop(self, pool_of, threads, resamples):
+        # the next block's draws run beside this block's means; the CIs must
+        # be those of drawing and averaging one block after another
+        pool_of(threads)
+        rng = np.random.default_rng(resamples)
+        for deltas in (rng.normal(size=37), rng.integers(-2, 3, size=(3, 150)) / 4):
+            got = paired_bootstrap_ci(deltas, resamples=resamples, seed=11)
+            assert got == sequential_bootstrap_ci(deltas, resamples=resamples, seed=11)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="non-empty"):

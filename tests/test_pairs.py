@@ -18,6 +18,7 @@ from assocrank.pairs import (
     load_texts,
     save_pairs,
     save_records,
+    save_texts,
     shuffle_pairs,
     similar_positive_pairs,
     split_policy,
@@ -338,6 +339,119 @@ class TestTextsIo:
         with pytest.raises(ValueError) as info:
             load_texts(str(path))
         assert str(info.value) == f"{path}:2: {message}"
+
+
+def texts_via_json_objects(path):
+    """Passage id -> text as the generic JSON-lines reader gives them, a
+    repeated id keeping its first place and its last text."""
+    return {v["passage_id"]: v["text"] for v in pairs._json_objects(str(path), TEXT_KINDS)}
+
+
+@pytest.fixture
+def decoded_lines(monkeypatch):
+    """The line numbers `load_texts` hands to the generic line reader."""
+    seen = []
+    real = pairs._json_object
+
+    def counting(line, path, lineno, kinds):
+        seen.append(lineno)
+        return real(line, path, lineno, kinds)
+
+    monkeypatch.setattr(pairs, "_json_object", counting)
+    return seen
+
+
+class TestTextsFastPath:
+    """`load_texts` reads every line `save_texts` writes with one regex match
+    (and `json`'s string scanner where the line holds an escape) and must
+    give what the generic reader gives on any file."""
+
+    def test_canonical_lines_take_the_regex(self, tmp_path, decoded_lines):
+        path = tmp_path / "texts.jsonl"
+        texts = {f"p{i}": f"passage {i}, {{x}}: y" for i in range(30)} | {"empty": ""}
+        save_texts(texts, str(path))
+        got = load_texts(str(path))
+        assert decoded_lines == []
+        assert list(got.items()) == list(texts_via_json_objects(path).items()) == sorted(texts.items())
+
+    def test_escaped_lines_take_the_regex(self, tmp_path, decoded_lines):
+        path = tmp_path / "texts.jsonl"
+        texts = {
+            "a": "plain",
+            "b": 'say "hi"',
+            "c": "back\\slash",
+            "d": "caf\u00e9",
+            "e": "tab\there, new\nline\r\x01\x1f\x7f",
+            "f\"\\/\u00e9": "id escaped",
+            "g": "\U0001f600 pair, \ud800 lone, \\u00e9 not an escape",
+            "h": "\\",
+            "i": '"',
+            "z": "x",
+        }
+        save_texts(texts, str(path))
+        assert "\\" in path.read_text()
+        got = load_texts(str(path))
+        assert decoded_lines == []
+        assert list(got.items()) == list(texts_via_json_objects(path).items()) == sorted(texts.items())
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_other_forms_match_the_generic_reader(self, tmp_path, newline, decoded_lines):
+        lines = [
+            '{"passage_id": "a", "text": "x"}',
+            "",
+            "   ",
+            '{"text": "y", "passage_id": "b"}',
+            '{"passage_id": "c", "text": "z", "extra": [1, {"k": "v"}]}',
+            '{"passage_id":"d","text":"compact"}',
+            '{"passage_id": "a", "text": "again"}',
+            '{"passage_id": "b", "text": "caf\\u00e9 \\"q\\" \\\\"}',
+            '  {"passage_id": "e", "text": "padded"}\t',
+            '{"passage_id": "f", "text": "raw caf\u00e9"}',
+        ]
+        path = tmp_path / "texts.jsonl"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        got = load_texts(str(path))
+        # only the reordered, extra-field and compact lines miss the regex
+        assert decoded_lines == [4, 5, 6]
+        assert list(got.items()) == list(texts_via_json_objects(path).items())
+        assert got == {"a": "again", "b": 'caf\u00e9 "q" \\', "c": "z", "d": "compact", "e": "padded", "f": "raw caf\u00e9"}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"passage_id": "p", "text": "t"',
+            '{"passage_id": "p", "text": "t"} x',
+            '{"passage_id": 3, "text": "t"}',
+            '{"passage_id": "p"}',
+            '["p", "t"]',
+            '{"passage_id": "p", "text": "t\x01"}',
+            '{"passage_id": "p", "text": "t\\x"}',
+            '{"passage_id": "p\\q", "text": "t"}',
+            '{"passage_id": "p", "text": "\\u12"}',
+            '{"passage_id": "p", "text": "\\u12G4"}',
+            '{"passage_id": "p", "text": "a\\\x01"}',
+        ],
+    )
+    def test_a_bad_line_after_canonical_lines_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "texts.jsonl"
+        canonical_lines = [f'{{"passage_id": "p{i}", "text": "passage {i}"}}' for i in range(1000)]
+        canonical_lines.insert(500, "")
+        path.write_text("\n".join(canonical_lines + [bad, canonical_lines[0]]) + "\n")
+        want = reference_objects(str(path), TEXT_KINDS)
+        assert isinstance(want, str) and want.startswith(f"{path}:1002: ")
+        assert outcome(lambda: texts_via_json_objects(path)) == want
+        with pytest.raises(ValueError) as info:
+            load_texts(str(path))
+        assert str(info.value) == want
+
+    def test_invalid_utf8_after_canonical_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "texts.jsonl"
+        good = "".join(f'{{"passage_id": "p{i}", "text": "passage {i}"}}\n' for i in range(1000))
+        path.write_bytes(good.encode() + b'{"passage_id": "p", "text": "\xff"}\n')
+        with pytest.raises(ValueError) as info:
+            load_texts(str(path))
+        assert str(info.value) == f"{path}:1001: invalid UTF-8 (invalid start byte at byte {len(good) + 29})"
+        assert outcome(lambda: texts_via_json_objects(path)) == str(info.value)
 
 
 TEXT_KINDS = {"passage_id": "str", "text": "str"}

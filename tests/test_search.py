@@ -60,6 +60,21 @@ class TestTopK:
         with pytest.raises(ValueError, match="out of range"):
             top_k(q, m, 4)
 
+    @pytest.mark.parametrize("k", [5.0, 1.0, True, False, np.True_, "1", None, np.float32(2)], ids=repr)
+    def test_k_of_the_wrong_type(self, k):
+        m = matrix_from(np.eye(3, dtype=np.float32))
+        with pytest.raises(ValueError) as info:
+            top_k(np.ones(3, dtype=np.float32), m, k)
+        assert str(info.value) == f"K must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)], ids=repr)
+    def test_numpy_integer_k(self, k):
+        data = np.random.default_rng(4).normal(size=(6, 3)).astype(np.float32)
+        q = np.ones(3, dtype=np.float32)
+        rows, scores = top_k(q, matrix_from(data), k)
+        want_rows, want_scores = top_k(q, matrix_from(data), 2)
+        assert rows.tolist() == want_rows.tolist() and scores.tobytes() == want_scores.tobytes()
+
     def test_dim_mismatch(self):
         m = matrix_from(np.eye(3, dtype=np.float32))
         with pytest.raises(ValueError, match="does not match"):
