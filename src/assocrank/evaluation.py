@@ -191,8 +191,10 @@ class EvalReport:
     baseline: SystemEval
     reranked: SystemEval
     deltas: dict[int, dict[str, float]]  # k -> {delta, ci_low, ci_high}
-    easy: dict[str, float]
-    hard: dict[str, float]
+    # n, and the subset's mean baseline and reranked R@5 and their delta,
+    # None for an empty subset
+    easy: dict[str, float | None]
+    hard: dict[str, float | None]
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,9 +233,9 @@ def compare_systems(
 
     easy_ids, hard_ids = easy_hard_split(baseline)
 
-    def subset_stats(ids: set[str]) -> dict[str, float]:
-        if not ids:
-            return {"n": 0, "baseline_r5": float("nan"), "reranked_r5": float("nan"), "delta": float("nan")}
+    def subset_stats(ids: set[str]) -> dict[str, float | None]:
+        if not ids:  # no mean, and JSON has no NaN
+            return {"n": 0, "baseline_r5": None, "reranked_r5": None, "delta": None}
         base = float(np.mean([baseline.questions[q].recall[HIT_K] for q in ids]))
         rr = float(np.mean([reranked.questions[q].recall[HIT_K] for q in ids]))
         return {"n": len(ids), "baseline_r5": base, "reranked_r5": rr, "delta": rr - base}

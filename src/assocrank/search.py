@@ -20,6 +20,17 @@ prefilter score within 2 * eps of the prefilter's K-th best, which a
 partition finds. Only the rows in that window, about K per query, are
 scored exactly and sorted. A query whose prefilter could overflow or hold
 NaN is scored exactly on every row instead.
+
+A block of queries sets its windows without a loop over its queries. Each
+query's rows fall into groups of 16 strided rows; K of the groups have a
+minimum negated score at or below the K-th smallest group minimum, so K
+rows do, and that minimum is no better than the query's K-th best score.
+Its window, up to 2 * eps past that minimum, holds every row of the
+partition's window, and so the exact top K, with a few more rows: about
+105 for K = 100. A split search merges the chunks' windows and sets the
+final window from the K-th best of their union, which is the K-th best
+over the whole matrix; that window is the same row set a single query's
+search scores.
 """
 
 from __future__ import annotations
@@ -47,6 +58,9 @@ _INF32 = np.float32(np.inf)
 # thread, a one-query `rerank_query` on 100k rows took 0.69 ms with two
 # halves and 0.76 ms with 16,384-row chunks
 _CHUNK_ENTRIES = 1 << 20
+# a block's chunk bounds its K-th best prefilter score by the K-th smallest
+# minimum of groups of this many rows
+_GROUP_SIZE = 16
 
 
 class QueryError(ValueError):
@@ -71,9 +85,10 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
     `_CHUNK_ENTRIES` entries is searched in chunks of contiguous rows by
     `parallel.map_chunks`: one share per thread, cut smaller for a block of
     many queries. A chunk keeps, for each query, the rows whose
-    prefilter score is within 2 * eps of the chunk's K-th best. The K-th
-    best of those rows over all chunks is the K-th best over the whole
-    matrix, so it sets the same window as an unsplit search would.
+    prefilter score is within 2 * eps of the chunk's K-th best (for a
+    block, of a bound no better than it). The K-th best of those rows over
+    all chunks is the K-th best over the whole matrix, so it sets the same
+    window as an unsplit search would.
     """
     q = np.asarray(queries, dtype=np.float32)
     if q.ndim not in (1, 2) or q.shape[-1] != passages.dim:
@@ -90,9 +105,6 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
     # per query, eps of its prefilter, or None where the prefilter may
     # overflow or hold NaN and every row is scored exactly instead
     epsilons = []
-    # negating the query negates every product and partial sum exactly, so a
-    # partition of the negated prefilter puts the best first
-    negated = -block
     piece = max(1, _CHUNK_ENTRIES // d)
     # split only where a helper can take a share: run by the caller alone,
     # the chunks took 10-15% longer than one pass over a 100k x 64 matrix
@@ -107,7 +119,16 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
         scores, or all its rows and their exact scores."""
         lo = starts[chunk]
         part = data[lo : lo + chunk_rows]
-        neg = (part @ negated[0])[None, :] if len(block) == 1 else negated @ part.T
+        if len(block) == 1 and bounded:
+            # one query: one matvec and one partition of its scores
+            neg = part @ negated[0]
+            rows = (neg <= _limit(neg, k, epsilons[0])).nonzero()[0]
+            return [(rows + lo, neg[rows])]
+        windows = iter(())
+        if bounded:
+            neg = negated @ part.T
+            limits = _block_limits(neg, k, [epsilons[i] for i in bounded])
+            windows = iter(_windows(neg, limits, lo))
         found = []
         for i, eps in enumerate(epsilons):
             if eps is None:
@@ -116,8 +137,7 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
                 exact = np.concatenate([_exact_scores(part[at : at + piece], q64[i]) for at in pieces])
                 found.append((np.arange(lo, lo + len(part)), exact))
             else:
-                rows = (neg[i] <= _limit(neg[i], k, eps)).nonzero()[0]
-                found.append((rows + lo, neg[i][rows]))
+                found.append(next(windows))
         return found
 
     results = []
@@ -128,6 +148,11 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
             bound = max_norm * math.sqrt(query @ query)  # inf or NaN if not finite
             ok = bound <= _SAFE_BOUND
             epsilons.append((d * _U / (1.0 - d * _U) + 2.0 * _U) * bound + d * _UNDERFLOW if ok else None)
+        bounded = [i for i, eps in enumerate(epsilons) if eps is not None]
+        # the prefilter of the bounded queries. Negating a query negates
+        # every product and partial sum exactly, so a partition of the
+        # negated prefilter puts the best first
+        negated = -block if len(bounded) == len(block) else -block[bounded]
         chunks = map_chunks(scan, len(starts))
         for i, eps in enumerate(epsilons):
             if len(chunks) == 1:
@@ -164,6 +189,40 @@ def _limit(neg: np.ndarray, k: int, eps: float) -> np.float32:
     # rounding to float32 moves the limit by at most half a step, so one step
     # up keeps every row within 2 * eps
     return np.nextafter(np.float32(limit), _INF32)
+
+
+def _block_limits(neg: np.ndarray, k: int, epsilons: list[float]) -> np.ndarray:
+    """Per query, a float32 limit no smaller than `_limit` of its negated
+    prefilter scores, a row of the (Q, n) block `neg`, and its eps in
+    `epsilons`, from a few whole-block calls."""
+    queries, n = neg.shape
+    if n <= k:
+        return np.full(queries, _INF32)
+    groups = n // _GROUP_SIZE
+    if groups < k:
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
+    else:
+        # group j holds a query's scores j, j + groups, ..., j + 15 * groups.
+        # K groups have a minimum at or below the K-th smallest group
+        # minimum, so K scores do, and the query's K-th best is no larger
+        minima = neg[:, : groups * _GROUP_SIZE].reshape(queries, _GROUP_SIZE, groups).min(axis=1)
+        kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
+    # as in `_limit`: the sum in float64, rounded to float32, one step up
+    return np.nextafter((kth + 2.0 * np.array(epsilons)).astype(np.float32), _INF32)
+
+
+def _windows(neg: np.ndarray, limits: np.ndarray, lo: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per query, the rows of its window and their negated prefilter
+    scores: `neg` is the (Q, n) block of those scores for the rows from
+    `lo` on, and a query's window is its scores at or below its limit. One
+    compare and one `flatnonzero` over the whole block."""
+    n = neg.shape[1]
+    hits = np.flatnonzero(neg <= limits[:, None])
+    query, rows = np.divmod(hits, n)
+    rows += lo
+    values = neg.take(hits)
+    cuts = np.searchsorted(query, np.arange(1, len(neg))).tolist()
+    return [(rows[a:b], values[a:b]) for a, b in zip([0, *cuts], [*cuts, len(hits)])]
 
 
 def _exact_scores(rows: np.ndarray, q64: np.ndarray) -> np.ndarray:

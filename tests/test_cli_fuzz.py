@@ -1,13 +1,20 @@
-"""Damaged input files run through the subcommands that read them.
+"""Damaged input files and extreme config values run through the CLI.
 
 A tiny pipeline is built once; then each of its input files is damaged
 (truncated at a stride of points, or one byte XORed with a seeded mask) and
 run through every subcommand that reads it. Each run must either succeed or
 fail with exactly one `error: ` line on stderr, raise nothing out of
 `cli.main`, and leave no output file behind.
+
+A second pipeline of 200 passages runs every subcommand from the first one
+that reads a config key set to an extreme value. A subcommand that fails
+must print exactly one `error: ` line; one that succeeds must leave only
+strict JSON with finite numbers in its outputs and on stdout.
 """
 
+import csv
 import json
+import math
 import os
 from pathlib import Path
 
@@ -127,3 +134,154 @@ def test_bad_utf8_names_the_file_and_line(pipeline, tmp_path, capsys, key, comma
     err = capsys.readouterr().err
     assert err == f"error: ValueError: {bad}:3: invalid UTF-8 (invalid start byte at byte {position})\n"
     assert os.listdir(out) == []
+
+
+# the subcommands in pipeline order, each with the config keys naming the
+# files it writes
+STAGES = {
+    "synth": ["passages", "queries", "records", "texts"],
+    "pairs": ["pairs"],
+    "train": ["checkpoint", "train.report"],
+    "rerank": ["rerank.out"],
+    "eval": ["eval.out"],
+    "sweep": ["sweep.lambda_out", "sweep.depth_out"],
+    "bench": ["bench.out"],
+}
+FLOAT_KEYS = [
+    "synth.noise_scale",
+    "train.temperature",
+    "train.learning_rate",
+    "train.weight_decay",
+    "train.adam_beta1",
+    "train.adam_beta2",
+    "train.adam_eps",
+    "train.min_lr_fraction",
+    "rerank.lambda",
+    "sweep.lambdas",
+]
+INT_KEYS = [
+    "synth.hops",
+    "synth.bridge_offset_rank",
+    "synth.n_clusters",
+    "rerank.cutoff",
+    "eval.resamples",
+    "bench.reps",
+    "bench.warmup",
+    "bench.n_queries",
+]
+SEED_KEYS = ["synth.seed", "pairs.shuffle_seed", "train.seed", "eval.seed"]
+# `key=value` as `--set` spells it; JSON reads 1e400 as inf
+EXTREME_CASES = (
+    [(key, value) for key in FLOAT_KEYS for value in ("NaN", "1e400", "-1e400", "-1", "0", "1e30")]
+    + [(key, value) for key in INT_KEYS + SEED_KEYS for value in ("-1", "0")]
+    + [(key, str(value)) for key in SEED_KEYS for value in (2**63, 2**64)]
+)
+
+
+def strict_json(text, where):
+    """`text` parsed as JSON that holds no NaN or infinity, in any spelling."""
+
+    def refuse(name):
+        raise AssertionError(f"{where}: {name} in {text[:200]!r}")
+
+    value = json.loads(text, parse_constant=refuse)
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, float):  # 1e400 parses to inf
+            assert math.isfinite(item), f"{where}: {item} in {text[:200]!r}"
+    return value
+
+
+def check_outputs(cfg, stage, stdout):
+    """Every JSON or CSV file `stage` wrote, and its stdout line, hold
+    strict JSON with finite numbers (a CSV, finite numbers)."""
+    strict_json(stdout, f"{stage} stdout")
+    for key in STAGES[stage]:
+        path = Path(cfg[key])
+        if path.suffix not in (".json", ".jsonl", ".csv"):
+            continue  # binary, or the pairs TSV
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".jsonl":
+            for lineno, line in enumerate(text.splitlines(), 1):
+                strict_json(line, f"{path}:{lineno}")
+        elif path.suffix == ".json":
+            strict_json(text, path)
+        else:
+            for row in csv.DictReader(text.splitlines()):
+                for column, cell in row.items():
+                    assert math.isfinite(float(cell)), f"{path}: {column} = {cell}"
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """The config of a 200-passage, 20-question pipeline at default
+    settings, but for a batch that its 20 pairs fill, with a path for every
+    file."""
+    root = tmp_path_factory.mktemp("extremes")
+    cfg = {key: str(root / name) for key, name in (
+        ("passages", "passages.aare"),
+        ("queries", "queries.aare"),
+        ("records", "records.jsonl"),
+        ("texts", "texts.jsonl"),
+        ("pairs", "pairs.tsv"),
+        ("checkpoint", "model.aarm"),
+        ("train.report", "train_report.json"),
+        ("rerank.out", "rerank.jsonl"),
+        ("eval.out", "eval.json"),
+        ("sweep.lambda_out", "lambda.csv"),
+        ("sweep.depth_out", "depth.csv"),
+        ("bench.out", "bench.json"),
+    )}
+    cfg.update({"synth.n_passages": 200, "synth.n_questions": 20, "train.batch_size": 16})
+    config_path = root / "run.cfg"
+    config_path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items()), encoding="utf-8")
+    return cfg, config_path
+
+
+def test_extreme_config_values(small_pipeline, tmp_path, capsys):
+    cfg, config_path = small_pipeline
+    assert len(EXTREME_CASES) == 92
+    # the pipeline at the config's own settings: every subcommand succeeds
+    for stage in STAGES:
+        capsys.readouterr()
+        assert main([stage, "--config", str(config_path)]) == 0, stage
+        check_outputs(cfg, stage, capsys.readouterr().out)
+    stages = list(STAGES)
+    exits = {0: 0, 1: 0}
+    for n, (key, value) in enumerate(EXTREME_CASES):
+        out = tmp_path / f"case{n}"
+        out.mkdir()
+        # the key's section names the first subcommand that reads it
+        start = stages.index(key.split(".")[0])
+        # the outputs of this case's stages go to its own directory, so that
+        # later stages read them and earlier ones come from the pipeline
+        case_cfg = dict(cfg)
+        sets = [f"{key}={value}"]
+        if key == "pairs.shuffle_seed":
+            sets.append("pairs.transform=shuffled")
+        for stage in stages[start:]:
+            for out_key in STAGES[stage]:
+                case_cfg[out_key] = str(out / Path(cfg[out_key]).name)
+                sets.append(f"{out_key}={case_cfg[out_key]}")
+        case = f"{key} = {value}"
+        for stage in stages[start:]:
+            capsys.readouterr()
+            try:
+                rc = main([stage, "--config", str(config_path)] + [a for s in sets for a in ("--set", s)])
+            except Exception as exc:  # escaping main is a traceback
+                pytest.fail(f"{case} via {stage}: {type(exc).__name__}: {exc}")
+            captured = capsys.readouterr()
+            if rc != 0:
+                assert rc == 1, f"{case} via {stage}: rc {rc}"
+                err = captured.err
+                assert err.startswith("error: ") and err.count("\n") == 1, f"{case} via {stage}: {err!r}"
+                break
+            assert captured.err == "", f"{case} via {stage}: {captured.err!r}"
+            check_outputs(case_cfg, stage, captured.out)
+        exits[rc] += 1
+    assert exits == {0: 22, 1: 70}

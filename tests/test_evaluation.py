@@ -1,5 +1,6 @@
 """Metrics, sweeps, movement reports, and the latency bench."""
 
+import json
 import math
 
 import numpy as np
@@ -319,6 +320,27 @@ class TestEasyHardAndCompare:
         assert report.hard["delta"] == pytest.approx(0.5)
         payload = report.to_json_dict()
         assert set(payload["systems"]) == {"dense", "rerank"}
+
+    def test_an_empty_subset_is_null_in_strict_json(self):
+        records, baseline, _ = rankings_fixture()
+        ev = evaluate_system("dense", baseline, records, ks=(5,))
+        # the baseline against itself: no question moves, and with every
+        # question's gold in the top 5 the hard subset is empty
+        hits = {qid: list(rec.gold_passage_ids) for qid, rec in zip(baseline, records)}
+        all_easy = evaluate_system("dense", hits, records, ks=(5,))
+        for b, r, empty in ((ev, ev, None), (all_easy, all_easy, "hard")):
+            payload = compare_systems(b, r, ks=(5,), resamples=20, seed=0).to_json_dict()
+
+            def no_constant(name):
+                raise ValueError(f"non-finite {name} in eval.json")
+
+            parsed = json.loads(json.dumps(payload), parse_constant=no_constant)
+            for subset in ("easy", "hard"):
+                stats = parsed[subset]
+                if subset == empty:
+                    assert stats == {"n": 0, "baseline_r5": None, "reranked_r5": None, "delta": None}
+                else:
+                    assert stats["n"] > 0 and all(math.isfinite(v) for v in stats.values())
 
     def test_question_set_mismatch(self):
         records, baseline, reranked = rankings_fixture()

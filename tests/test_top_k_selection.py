@@ -448,3 +448,99 @@ class TestChunks:
             os.waitpid(pid, 0)
             pytest.fail("the forked child did not finish within 60 s")
         assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+class TestBlockBound:
+    """A block's chunk window, set by the K-th smallest minimum over groups
+    of `_GROUP_SIZE` strided rows, on pools of one to three threads.
+    `_CHUNK_ENTRIES` is shrunk to 64 rows of d = 4, so a chunk of 64 rows
+    has 4 groups and an unsplit matrix of n rows has n // 16."""
+
+    D, ROWS = 4, 64
+
+    @pytest.fixture(params=[1, 2, 3])
+    def threads(self, request, pool_of, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_ENTRIES", self.ROWS * self.D)
+        pool_of(request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [3 * ROWS + 5, 2 * ROWS - 1, 21])
+    def test_rows_and_scores_equal_the_exact_reference(self, threads, n):
+        rng = np.random.default_rng(n)
+        data = rng.integers(-2, 3, size=(n, self.D)).astype(np.float32)
+        queries = rng.integers(-2, 3, size=(6, self.D)).astype(np.float32)
+        m = matrix_from(data)
+        # n % 16 != 0; K at and around the group counts of a chunk (4) and
+        # of the unsplit matrix (n // 16), so that both the group minima and
+        # the partition of the rows set a window; and K = n
+        for k in sorted({1, 3, 4, 5, n // 16, n // 16 + 1, n} - {0}):
+            assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
+            for q in queries[:2]:
+                assert_equals_exact_top_k(q, data, k, top_k(q, m, k))
+
+    def test_tie_groups_spread_over_strided_groups(self, threads):
+        rng = np.random.default_rng(11)
+        n = 4 * self.ROWS + 7
+        data = rng.normal(size=(n, self.D)).astype(np.float32)
+        q = rng.normal(size=self.D).astype(np.float32)
+        queries = np.stack([q, -q, q])
+        # ties of the best score held by one strided group of the unsplit
+        # matrix (rows 5 + j * n // 16), then by one group of a 64-row chunk
+        # (rows 2 + j * 4), then spread over both kinds of group
+        for tied in (
+            [5 + j * (n // 16) for j in range(8)],
+            [2 + j * 4 for j in range(8)],
+            [0, 1, 16, 17, 64, 65, 130, n - 1],
+        ):
+            tied_data = data.copy()
+            tied_data[tied] = q * 4
+            tied_m = matrix_from(tied_data)
+            for k in (1, 3, 8, 9):
+                found = top_k(queries, tied_m, k)
+                assert_equals_exact_top_k(queries, tied_data, k, found)
+                assert found[0][0, :8].tolist() == tied[:k]
+
+    def test_a_block_of_bounded_and_unbounded_queries(self, threads):
+        rng = np.random.default_rng(12)
+        n = 3 * self.ROWS + 9
+        data = rng.normal(size=(n, self.D)).astype(np.float32)
+        data[self.ROWS + 3] = [3e30, -3e30, 1e30, 0.0]
+        queries = rng.normal(size=(5, self.D)).astype(np.float32)
+        # their float32 products overflow, their float64 ones do not
+        queries[1] = 2e10
+        queries[4] = -2e10
+        m = matrix_from(data)
+        for k in (1, 4, 5, 13, n):
+            assert_equals_exact_top_k(queries, data, k, top_k(queries, m, k))
+            assert_equals_exact_top_k(queries[[0, 1]], data, k, top_k(queries[[0, 1]], m, k))
+            assert_equals_exact_top_k(queries[[1, 4]], data, k, top_k(queries[[1, 4]], m, k))
+
+
+def test_block_limits_are_at_least_each_rows_limit():
+    """A block's limit for each query is no smaller than `_limit` of that
+    query's scores alone, so its window holds every row `_limit` keeps."""
+    rng = np.random.default_rng(13)
+    checked = {"groups": 0, "rows": 0, "all": 0}
+    for trial in range(300):
+        queries = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 700))
+        # K at most the group count, above it, or n
+        high = [n // search._GROUP_SIZE, min(n, 60), n][trial % 3]
+        k = int(rng.integers(1, max(1, high) + 1)) if trial % 3 < 2 else n
+        if rng.integers(2):  # integers, so that many scores tie
+            neg = rng.integers(-3, 4, size=(queries, n)).astype(np.float32)
+        else:
+            neg = rng.normal(size=(queries, n)).astype(np.float32)
+        epsilons = list(10.0 ** rng.uniform(-9, 0, size=queries))
+        limits = search._block_limits(neg, k, epsilons)
+        assert limits.dtype == np.float32 and limits.shape == (queries,)
+        for i, eps in enumerate(epsilons):
+            alone = search._limit(neg[i], k, eps)
+            assert limits[i] >= alone
+            kept = neg[i] <= limits[i]
+            assert kept[neg[i] <= alone].all()
+        path = "all" if n <= k else "rows" if n // search._GROUP_SIZE < k else "groups"
+        checked[path] += 1
+        if path != "groups":  # the rows' own K-th best: the same limit
+            assert limits.tolist() == [search._limit(row, k, eps) for row, eps in zip(neg, epsilons)]
+    assert min(checked.values()) >= 20
