@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing-file: {_one_line(exc)}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, RuntimeError, OSError, FloatingPointError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return 1
 

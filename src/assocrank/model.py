@@ -161,25 +161,33 @@ def _forward(model: AssocModel, x: np.ndarray, keep_cache: bool):
     non-finite f is computed again with the checks of every stage, raising
     FloatingPointError("non-finite values after <stage>") for the first
     affine map or layernorm that is not finite: any non-finite value there
-    leaves its row of f non-finite.
+    leaves its row of f non-finite. A 2-D x is checked as a whole; the rows
+    of a (Q, 1, d) stack are checked one at a time, in order, so that the
+    stack raises the error its first failing row raises alone.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, cache = _forward_pass(model, x, keep_cache, checked=False)
         if not np.isfinite(f).all():
-            _forward_pass(model, x, keep_cache=False, checked=True)
+            parts = [x]
+            if np.ndim(x) == 3:
+                parts = [x[i : i + 1] for i in (~np.isfinite(f).all(axis=(1, 2))).nonzero()[0]]
+            for part in parts:
+                _forward_pass(model, part, keep_cache=False, checked=True)
     return f, cache
 
 
 def _forward_pass(model: AssocModel, x: np.ndarray, keep_cache: bool, checked: bool):
     """`_forward`'s arithmetic, with every stage checked if `checked`.
 
-    A row whose pre-normalization blend has norm <= 1e-12 comes out as zeros
-    and is listed in cache["degenerate"]. A row whose layernorm mean or
-    variance, or whose blend norm, overflows is normalized again after
-    scaling by its largest entry; other rows keep their bits.
+    x is a (n, d) block or a (n, 1, d) stack: the reductions run along the
+    last axis and the row lists are tuples of indices, so one body serves
+    both shapes. A row whose pre-normalization blend has norm <= 1e-12
+    comes out as zeros and is listed in cache["degenerate"]. A row whose
+    layernorm mean or variance, or whose blend norm, overflows is normalized
+    again after scaling by its largest entry; other rows keep their bits.
     """
     x = np.ascontiguousarray(x, dtype=model.dtype)
-    if x.ndim != 2 or x.shape[1] != model.dim:
+    if x.ndim not in (2, 3) or x.shape[1:] not in ((model.dim,), (1, model.dim)):
         raise ValueError(f"input shape {x.shape} does not match model dim {model.dim}")
 
     d = model.dim
@@ -189,19 +197,19 @@ def _forward_pass(model: AssocModel, x: np.ndarray, keep_cache: bool, checked: b
     inputs = [x]
     for i in range(3):
         z = _affine(model, h, i, checked)
-        mu = np.add.reduce(z, axis=1, keepdims=True) / d
+        mu = np.add.reduce(z, axis=-1, keepdims=True) / d
         centered = z - mu
-        var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
         inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
         xhat = centered * inv_sigma
-        overflowed = (~np.isfinite(var[:, 0])).nonzero()[0]
-        if overflowed.size:
+        overflowed = (~np.isfinite(var[..., 0])).nonzero()
+        if overflowed[0].size:
             # scaled by its largest |entry|, such a row's sum and squares stay
             # finite; LN_EPS / scale**2 is far below the scaled variance's last bit
-            scale = np.abs(z[overflowed]).max(axis=1, keepdims=True)
+            scale = np.abs(z[overflowed]).max(axis=-1, keepdims=True)
             scaled = z[overflowed] / scale
-            scaled -= np.add.reduce(scaled, axis=1, keepdims=True) / d
-            sigma = np.sqrt(np.add.reduce(scaled * scaled, axis=1, keepdims=True) / d)
+            scaled -= np.add.reduce(scaled, axis=-1, keepdims=True) / d
+            sigma = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True) / d)
             xhat[overflowed] = scaled / sigma
             inv_sigma[overflowed] = 1.0 / (scale * sigma)
         y = xhat * model.ln_scales[i] + model.ln_shifts[i]
@@ -217,18 +225,18 @@ def _forward_pass(model: AssocModel, x: np.ndarray, keep_cache: bool, checked: b
 
     alpha = 1.0 / (1.0 + np.exp(-model.alpha_raw[0]))
     u = alpha * x + (1.0 - alpha) * g
-    norms = np.sqrt((u * u).sum(axis=1, keepdims=True))
-    degenerate_rows = np.where(norms[:, 0] <= DEGENERATE_NORM)[0]
+    norms = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+    degenerate_rows = (norms[..., 0] <= DEGENERATE_NORM).nonzero()
     safe = np.where(norms <= DEGENERATE_NORM, 1.0, norms)
     f = u / safe
-    if degenerate_rows.size:
+    if degenerate_rows[0].size:
         f[degenerate_rows] = 0.0
-    overflowed = np.isinf(norms[:, 0]).nonzero()[0]
-    if overflowed.size:
+    overflowed = np.isinf(norms[..., 0]).nonzero()
+    if overflowed[0].size:
         # scaled by its largest |u|, such a row's squares stay finite
-        scale = np.abs(u[overflowed]).max(axis=1, keepdims=True)
+        scale = np.abs(u[overflowed]).max(axis=-1, keepdims=True)
         scaled = u[overflowed] / scale
-        length = np.sqrt((scaled * scaled).sum(axis=1, keepdims=True))
+        length = np.sqrt((scaled * scaled).sum(axis=-1, keepdims=True))
         f[overflowed] = scaled / length
         safe[overflowed] = scale * length
     if not keep_cache:
@@ -242,7 +250,7 @@ def _forward_pass(model: AssocModel, x: np.ndarray, keep_cache: bool, checked: b
         "u": u,
         "norms": safe,
         "f": f,
-        "degenerate": degenerate_rows,
+        "degenerate": degenerate_rows[0],
     }
     return f, cache
 
@@ -260,15 +268,29 @@ def forward_batch(model: AssocModel, x: np.ndarray):
 
 
 def _infer(model: AssocModel, x: np.ndarray) -> np.ndarray:
-    """The inference pass: f of each row of the 2-D x, bit for bit as
-    forward_batch computes it, with degenerate rows as zeros."""
+    """The inference pass: f of each row of a (n, d) block, bit for bit as
+    forward_batch computes it, or of a (n, 1, d) stack, with degenerate
+    rows as zeros."""
     return _forward(model, x, keep_cache=False)[0]
 
 
 def forward(model: AssocModel, x: np.ndarray) -> np.ndarray:
-    """Transform a single vector by the inference pass; a degenerate vector
-    gives zeros."""
-    return _infer(model, np.asarray(x)[None, :])[0]
+    """Transform a (d,) vector, or each row of a (Q, d) block, by the
+    inference pass; a degenerate row gives zeros.
+
+    Each row gets the bits it gets alone. A block of two or more rows runs
+    as a (Q, 1, d) stack, whose matmuls are one matrix-vector product per
+    row, as a single row's are; a 2-D GEMM over the block would round
+    differently. A non-finite row raises the error it raises alone.
+    """
+    x = np.asarray(x)
+    if x.ndim == 1:
+        return _infer(model, x[None, :])[0]
+    if x.ndim == 2 and len(x) > 1:
+        return _infer(model, x[:, None, :])[:, 0]
+    # a block of one is already a matrix-vector product; the stack would
+    # only add its cost
+    return _infer(model, x)
 
 
 class Gradients(dict):

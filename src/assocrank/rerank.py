@@ -9,11 +9,12 @@ Scoring modes, all built from the transform f:
 
 The passage-side transform comes from a precomputed TransformedMatrix, so a
 query costs one forward pass plus K dot products per direction. Pools are
-scored a block of queries at a time: the dense search runs one GEMM for up
-to `_QUERY_BLOCK` queries, and each query still gets its own forward pass,
-so its pool is the same as when it is scored alone. The final ranking
-orders candidates by (1 - lambda) * sim + lambda * assoc with ties broken
-toward the lower passage row.
+scored a block of up to `_QUERY_BLOCK` queries at a time: one dense search
+(a GEMM), one `forward` call and one readout per block. The forward pass
+and the readout run as stacked matrix-vector products, one per query, so
+a query's pool and scores are the same as when it is scored alone. The
+final ranking orders candidates by (1 - lambda) * sim + lambda * assoc
+with ties broken toward the lower passage row.
 """
 
 from __future__ import annotations
@@ -109,7 +110,16 @@ def _association_readout(
 ) -> np.ndarray:
     """Association scores of the pool `rows` under a scoring mode, given f(q).
 
-    Gathers only the pool rows of the matrices the mode reads."""
+    Takes one query, its f(q) and its (K,) pool, or a (Q, d) block of
+    queries, their f(q) and their (Q, K) pools, and returns scores shaped
+    as `rows`. Gathers only the pool rows of the matrices the mode reads.
+    A pool's scores are one matrix-vector product per matrix read; a block
+    of two or more runs them as a (Q, K, d) @ (Q, d, 1) stack, which keeps
+    each query's bits."""
+    if rows.ndim == 2 and len(rows) == 1:
+        return _association_readout(query[0], fq[0], rows[0], passages, transformed, mode)[None]
+    if rows.ndim == 2:
+        query, fq = query[..., None], fq[..., None]
     if mode == "forward_only":
         assoc = passages.data[rows] @ fq
     elif mode == "reverse_only":
@@ -120,7 +130,7 @@ def _association_readout(
         assoc = 0.5 * (passages.data[rows] @ fq + transformed.data[rows] @ query)
     else:
         raise ValueError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
-    return np.asarray(assoc, dtype=np.float32)
+    return np.asarray(assoc.reshape(rows.shape), dtype=np.float32)
 
 
 def _blend_order(
@@ -147,8 +157,9 @@ def score_pool(
     """Retrieve the dense pools of a (Q, d) block of queries and attach
     association scores (dense order).
 
-    Searches `_QUERY_BLOCK` queries per `top_k` call, each search followed by
-    its queries' forward passes; a query's pool does not depend on its block.
+    Each block of `_QUERY_BLOCK` queries is one `top_k` call, one `forward`
+    call and one readout; a query's pool and scores do not depend on its
+    block.
     """
     _check_pool_inputs(passages, transformed, config)
     q = np.asarray(queries, dtype=np.float32)
@@ -164,10 +175,8 @@ def score_pool(
             rows, sims = top_k(block, passages, config.pool_depth)
         except QueryError as exc:
             raise ValueError(f"query {ids[lo + exc.index]!r}: {exc}") from None
-        assocs = np.empty_like(sims)
-        for i, query in enumerate(block):
-            fq = forward(model, query)
-            assocs[i] = _association_readout(query, fq, rows[i], passages, transformed, config.mode)
+        fq = forward(model, block)
+        assocs = _association_readout(block, fq, rows, passages, transformed, config.mode)
         blocks.append((rows, sims, assocs))
     # a lone block's arrays are kept as top_k and the readout made them
     rows, sims, assocs = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))

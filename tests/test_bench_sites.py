@@ -89,11 +89,34 @@ def eval_argv(tmp_path, **more):
     return argv
 
 
-def test_eval_reaches_the_traced_stages(calls, tmp_path):
-    argv = eval_argv(tmp_path)
-    counts = calls((rerank, "rank_rows"), (evaluation, "evaluate_system"))
+@pytest.mark.parametrize("questions", [12, 130])
+def test_eval_reaches_the_traced_stages(calls, tmp_path, questions):
+    argv = eval_argv(tmp_path, **{"synth.n_passages": 400, "synth.n_questions": questions})
+    counts = calls((rerank, "rank_rows"), (evaluation, "evaluate_system"), (rerank, "forward"))
     assert cli.main(["eval"] + argv) == 0
-    assert counts == {"assocrank.rerank.rank_rows": 1, "assocrank.evaluation.evaluate_system": 2}
+    # one forward call per search block of up to 64 queries
+    assert counts == {
+        "assocrank.rerank.rank_rows": 1,
+        "assocrank.evaluation.evaluate_system": 2,
+        "assocrank.rerank.forward": -(-questions // rerank._QUERY_BLOCK),
+    }
+
+
+def test_latency_bench_times_each_query_alone(calls, monkeypatch):
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(50, 8)).astype(np.float32)
+    passages = EmbeddingMatrix([f"p{i}" for i in range(50)], data)
+    model = AssocModel.initialize(8, seed=0)
+    transformed = transform_matrix(model, passages)
+    counts = calls((rerank, "top_k"), (rerank, "forward"), (rerank, "_association_readout"))
+    shapes = []
+    counting_forward = rerank.forward
+    monkeypatch.setattr(rerank, "forward", lambda model, x: shapes.append(np.shape(x)) or counting_forward(model, x))
+    config = rerank.RerankConfig(pool_depth=10, cutoff=3)
+    evaluation.latency_bench(model, passages, transformed, config, data[:5], [5, 10], warmup=1, reps=2)
+    # 5 queries at 2 depths in 1 + 2 passes, each stage timed per query
+    assert counts == {f"assocrank.rerank.{name}": 30 for name in ("top_k", "forward", "_association_readout")}
+    assert set(shapes) == {(8,)}
 
 
 def test_train_reaches_the_traced_stages(calls):

@@ -520,6 +520,21 @@ class TestErrors:
         assert err == f"error: config: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [("synth", "synth.n_passages=1000000000000000"), ("eval", "eval.resamples=1000000000000000")],
+    )
+    def test_an_allocation_too_large_is_one_error_line(self, pipeline, tmp_path, capsys, command, setting):
+        # numpy refuses the corpus (455 PiB) or the resample means (21.3 PiB)
+        # before any of it is touched: each is beyond a 48-bit address space
+        _, _, config_path = pipeline
+        argv = [command, "--config", str(config_path), "--set", setting]
+        for key in OUTPUTS[command]:
+            argv += ["--set", f"{key}={tmp_path / key}"]
+        capsys.readouterr()
+        self.run_expecting_error(argv, capsys, "error: MemoryError: Unable to allocate ")
+        assert os.listdir(tmp_path) == []
+
     def test_eval_ks_without_the_hit_cutoff(self, pipeline, tmp_path, capsys, monkeypatch):
         def no_scoring(*args, **kwargs):
             pytest.fail("scored a pool")

@@ -145,6 +145,71 @@ class TestForward:
                 batch, _ = forward_batch(model, x[None, :])
                 assert forward(model, x).tobytes() == batch[0].tobytes()
 
+    def test_stacked_matmul_is_one_matrix_vector_product_per_row(self):
+        # forward's block path relies on this: each (1, d) @ W.T of the
+        # stack is the product a single row gets, while one GEMM over the
+        # block rounds differently
+        rng = np.random.default_rng(20)
+        for d in (8, 17, 64, 256):
+            w = rng.normal(size=(d, d)).astype(np.float32)
+            x = rng.normal(size=(65, d)).astype(np.float32)
+            stacked = np.matmul(x[:, None, :], w.T)[:, 0]
+            rows = np.concatenate([x[i : i + 1] @ w.T for i in range(len(x))])
+            assert stacked.tobytes() == rows.tobytes(), (
+                f"numpy {np.__version__} no longer runs a (Q, 1, d) @ (d, d) matmul as one "
+                f"matrix-vector product per row (d={d}), so a block forward loses each row's bits"
+            )
+
+    @pytest.mark.parametrize("d", [8, 17, 64, 256])
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65])
+    def test_a_block_equals_its_rows_bit_for_bit(self, d, n):
+        # zero biases and shifts keep a zero row degenerate; rows scaled by
+        # 1e19 overflow the layernorm variance and a row of 1e38 the
+        # layernorm mean and the blend's norm, so each takes its rescue
+        rng = np.random.default_rng(d * 100 + n)
+        model = AssocModel.initialize(d, seed=n)
+        for scale in model.ln_scales:
+            scale[:] = (1.0 + rng.normal(scale=0.3, size=d)).astype(np.float32)
+        model.alpha_raw[:] = -0.7
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        specials = np.stack([np.zeros(d), *(1e19 * rng.normal(size=(2, d))), np.full(d, 1e38)])
+        x[n // 2 : n // 2 + 4] = specials[: len(x[n // 2 : n // 2 + 4])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = forward(model, x)
+            rows = [forward(model, row) for row in x]
+        assert block.shape == (n, d) and block.dtype == np.float32
+        assert block.tobytes() == b"".join(row.tobytes() for row in rows)
+        if n >= 63:
+            assert not block[n // 2].any()
+            norms = np.linalg.norm(block[n // 2 + 1 : n // 2 + 4].astype(np.float64), axis=1)
+            assert np.abs(norms - 1.0).max() < 1e-6
+        # f of a huge row is that row normalized; with w0 scaled up instead,
+        # every row's layer-0 variance overflows and f reads its rescue
+        model.weights[0][:] *= np.float32(1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = forward(model, x[: n // 2])
+            rows = [forward(model, row) for row in x[: n // 2]]
+        assert block.tobytes() == b"".join(row.tobytes() for row in rows)
+
+    def test_a_block_raises_the_error_of_its_first_failing_row(self):
+        # every row overflows affine 1, and row 1's infinite entry already
+        # overflows affine 0: the whole-block check names affine 0, a row
+        # at a time names row 0's stage
+        model = perturbed_model(8, seed=3)
+        model.weights[1][:] = 3e38
+        x = np.random.default_rng(17).normal(size=(3, 8)).astype(np.float32)
+        x[1, 5] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^non-finite values after affine 0$"):
+                forward_batch(model, x)
+            for block, stage in ((x, "affine 1"), (x[1:], "affine 0"), (x[[0, 2]], "affine 1")):
+                with pytest.raises(FloatingPointError, match=f"^non-finite values after {stage}$"):
+                    forward(model, block[0])
+                with pytest.raises(FloatingPointError, match=f"^non-finite values after {stage}$"):
+                    forward(model, block)
+
     @pytest.mark.parametrize("stage", ["affine 0", "layernorm 0", "affine 1"])
     def test_single_vector_errors_name_the_stage(self, stage):
         model = perturbed_model(8, seed=3)

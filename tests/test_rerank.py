@@ -215,6 +215,22 @@ class TestScorePool:
                 )
                 assert abs(single - float(scored.assocs[0, slot])) < 1e-6, mode
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 65])
+    def test_a_block_readout_equals_its_queries_read_out_alone(self, n):
+        rng = np.random.default_rng(11)
+        passages, model, transformed = pipeline_parts(rng)
+        queries = rng.normal(size=(n, 24)).astype(np.float32)
+        fq = forward(model, queries)
+        rows = rng.integers(0, passages.rows, size=(n, 30))
+        for mode in SCORING_MODES:
+            block = rerank_module._association_readout(queries, fq, rows, passages, transformed, mode)
+            alone = [
+                rerank_module._association_readout(q, f, r, passages, transformed, mode)
+                for q, f, r in zip(queries, fq, rows)
+            ]
+            assert block.shape == (n, 30) and block.dtype == np.float32, mode
+            assert block.tobytes() == b"".join(a.tobytes() for a in alone), mode
+
     def test_sims_match_dense_pool(self):
         rng = np.random.default_rng(6)
         passages, model, transformed = pipeline_parts(rng)
