@@ -1,10 +1,12 @@
 """Contrastive training of the association transform.
 
-Both sides of every pair pass through the transform; a batch of B pairs gives
-a B x B logit matrix whose diagonal holds the positives, and the loss is the
-mean of the row-wise and column-wise cross entropies. Gradients are computed
-analytically (no autograd); the test suite checks them against central finite
-differences in float64 (`tests/gradcheck.py`).
+There is one objective, the symmetric in-batch loss. Both sides of every pair
+pass through the transform; a batch of B pairs gives a B x B logit matrix
+whose diagonal holds the positives, so each pair's negatives are the other
+B - 1 pairs of its batch, and the loss is the mean of the row-wise and
+column-wise cross entropies. Gradients are computed analytically (no
+autograd); the test suite checks them against central finite differences in
+float64 (`tests/gradcheck.py`).
 
 Arithmetic follows the deployment path: parameters and activations in
 float32, loss values accumulated in float64.
@@ -21,8 +23,6 @@ import numpy as np
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.model import AssocModel, backward_batch, forward_batch
 from assocrank.pairs import AssocPairSet
-
-NEGATIVE_MODES = ("in_batch", "random_sampled")
 
 
 class PairSetError(ValueError):
@@ -41,7 +41,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     min_lr_fraction: float = 0.0
-    negative_mode: str = "in_batch"
     seed: int = 0
 
     def validate(self) -> None:
@@ -60,8 +59,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0.0 <= self.min_lr_fraction <= 1.0:
             raise ValueError(f"min_lr_fraction must be in [0, 1], got {self.min_lr_fraction}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
 
 
 @dataclass
@@ -111,81 +108,31 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def backward(
-    model: AssocModel,
-    batch_a: np.ndarray,
-    batch_b: np.ndarray,
-    config: TrainConfig,
-    negatives: np.ndarray | None = None,
-):
-    """Loss and analytic parameter gradients for one batch of pairs.
-
-    in_batch mode contrasts each side against the rest of the batch.
-    random_sampled mode needs `negatives` of shape (B, M, d); each row is
-    scored against its own positive plus the M sampled rows, both directions.
-    Returns (gradients, loss).
-    """
+def backward(model: AssocModel, batch_a: np.ndarray, batch_b: np.ndarray, config: TrainConfig):
+    """Loss and analytic parameter gradients for one batch of pairs, each side
+    contrasted against the rest of the batch. Returns (gradients, loss)."""
     xa = np.ascontiguousarray(batch_a, dtype=model.dtype)
     xb = np.ascontiguousarray(batch_b, dtype=model.dtype)
     if xa.shape != xb.shape:
         raise ValueError(f"side shapes differ: {xa.shape} vs {xb.shape}")
     b = xa.shape[0]
     tau = config.temperature
-
-    if config.negative_mode == "in_batch":
-        if negatives is not None:
-            raise ValueError("in_batch mode takes no negatives")
-        stacked = np.concatenate([xa, xb], axis=0)
-        z, cache = forward_batch(model, stacked)
-        za, zb = z[:b], z[b:]
-        s = (za @ zb.T) / tau
-        loss = symmetric_ce_loss(s)
-        # (P + Q - 2I) / 2B, with P and Q the row and column softmaxes
-        ds = _softmax_rows(s)
-        ds += _softmax_rows(s.T).T
-        diag = np.arange(b)
-        ds[diag, diag] -= 2.0
-        ds /= 2.0 * b
-        dza = (ds @ zb) / tau
-        dzb = (ds.T @ za) / tau
-        df = np.concatenate([dza, dzb], axis=0)
-        grads = backward_batch(model, cache, df)
-        return grads, loss
-
-    if negatives is None:
-        raise ValueError("random_sampled mode requires negatives")
-    negs = np.ascontiguousarray(negatives, dtype=model.dtype)
-    if negs.ndim != 3 or negs.shape[0] != b or negs.shape[2] != xa.shape[1]:
-        raise ValueError(f"negatives shape {negs.shape} does not match batch ({b}, M, d)")
-    m = negs.shape[1]
-    stacked = np.concatenate([xa, xb, negs.reshape(b * m, -1)], axis=0)
+    stacked = np.concatenate([xa, xb], axis=0)
     z, cache = forward_batch(model, stacked)
-    za, zb = z[:b], z[b : 2 * b]
-    zn = z[2 * b :].reshape(b, m, -1)
-
-    loss_acc = 0.0
-    df = np.zeros_like(z)
-    dfa, dfb = df[:b], df[b : 2 * b]
-    dfn = df[2 * b :].reshape(b, m, -1)
-    scale = 1.0 / (2.0 * b)
-    for anchor, other, danchor, dother in ((za, zb, dfa, dfb), (zb, za, dfb, dfa)):
-        # candidates per row: own positive at slot 0, then the sampled rows
-        pos = (anchor * other).sum(axis=1, keepdims=True)
-        neg = np.einsum("bd,bmd->bm", anchor, zn)
-        logits = np.concatenate([pos, neg], axis=1) / tau
-        logits64 = logits.astype(np.float64)
-        lse = logits64.max(axis=1) + np.log(
-            np.exp(logits64 - logits64.max(axis=1, keepdims=True)).sum(axis=1)
-        )
-        loss_acc += float((lse - logits64[:, 0]).sum())
-        dl = _softmax_rows(logits).astype(model.dtype)
-        dl[:, 0] -= 1.0
-        dl *= scale / tau
-        danchor += dl[:, :1] * other + np.einsum("bm,bmd->bd", dl[:, 1:], zn)
-        dother += dl[:, :1] * anchor
-        dfn += dl[:, 1:, None] * anchor[:, None, :]
+    za, zb = z[:b], z[b:]
+    s = (za @ zb.T) / tau
+    loss = symmetric_ce_loss(s)
+    # (P + Q - 2I) / 2B, with P and Q the row and column softmaxes
+    ds = _softmax_rows(s)
+    ds += _softmax_rows(s.T).T
+    diag = np.arange(b)
+    ds[diag, diag] -= 2.0
+    ds /= 2.0 * b
+    dza = (ds @ zb) / tau
+    dzb = (ds.T @ za) / tau
+    df = np.concatenate([dza, dzb], axis=0)
     grads = backward_batch(model, cache, df)
-    return grads, loss_acc * scale
+    return grads, loss
 
 
 class AdamW:
@@ -240,20 +187,6 @@ def _resolve_pairs(pairs: AssocPairSet, embeddings: EmbeddingMatrix):
     return rows_a, rows_b
 
 
-def _sample_negatives(
-    rng: np.random.Generator, n_rows: int, exclude_a: np.ndarray, exclude_b: np.ndarray, m: int
-) -> np.ndarray:
-    if n_rows < 3:
-        raise ValueError("random_sampled mode needs at least 3 passages")
-    negs = rng.integers(0, n_rows, size=(exclude_a.size, m))
-    for _ in range(1000):
-        clash = (negs == exclude_a[:, None]) | (negs == exclude_b[:, None])
-        if not clash.any():
-            return negs
-        negs[clash] = rng.integers(0, n_rows, size=int(clash.sum()))
-    raise RuntimeError("failed to sample negatives away from the positive pair")
-
-
 def train(
     model: AssocModel,
     pairs: AssocPairSet,
@@ -295,14 +228,7 @@ def train(
                 continue
             xa = embeddings.data[rows_a[chunk]]
             xb = embeddings.data[rows_b[chunk]]
-            negatives = None
-            if config.negative_mode == "random_sampled":
-                negatives = embeddings.data[
-                    _sample_negatives(
-                        rng, embeddings.rows, rows_a[chunk], rows_b[chunk], config.batch_size - 1
-                    )
-                ]
-            grads, loss = backward(model, xa, xb, config, negatives=negatives)
+            grads, loss = backward(model, xa, xb, config)
             opt.step(grads.flat, lr)
             loss_sum += loss * chunk.size
             seen += chunk.size

@@ -13,7 +13,6 @@ def gradient_check(
     batch_b: np.ndarray,
     config: TrainConfig,
     step: float = 1e-5,
-    negatives: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Central finite-difference check of `backward` in float64.
 
@@ -23,11 +22,10 @@ def gradient_check(
     model64 = model.astype(np.float64)
     xa = np.asarray(batch_a, dtype=np.float64)
     xb = np.asarray(batch_b, dtype=np.float64)
-    negs = None if negatives is None else np.asarray(negatives, dtype=np.float64)
-    grads, _ = backward(model64, xa, xb, config, negatives=negs)
+    grads, _ = backward(model64, xa, xb, config)
 
     def loss_at() -> float:
-        _, loss = backward(model64, xa, xb, config, negatives=negs)
+        _, loss = backward(model64, xa, xb, config)
         return loss
 
     worst: dict[str, float] = {}

@@ -127,13 +127,8 @@ class TestAcceptance:
                     arr += rng.normal(scale=0.15, size=arr.shape).astype(np.float32)
             xa = unit_rows(rng, (batch, d))
             xb = unit_rows(rng, (batch, d))
-            negatives = None
-            mode = "in_batch"
-            if trial % 4 == 3:
-                mode = "random_sampled"
-                negatives = unit_rows(rng, (batch, 2, d))
-            config = TrainConfig(temperature=tau, negative_mode=mode)
-            errors = gradient_check(model, xa, xb, config, step=1e-5, negatives=negatives)
+            config = TrainConfig(temperature=tau)
+            errors = gradient_check(model, xa, xb, config, step=1e-5)
             assert {"alpha_raw", "ln0_scale", "ln2_shift"} <= set(errors)
             worst_overall = max(worst_overall, max(errors.values()))
             trials += 1

@@ -398,6 +398,7 @@ BAD_CONFIG_VALUES = [
     ("train", "train.seed=1.5", "train.seed: expected int, got 1.5"),
     ("train", "train.batch_size=true", "train.batch_size: expected int, got true"),
     ("train", "train.momentum=0.9", "unknown config key 'train.momentum'"),
+    ("train", "train.negative_mode=in_batch", "unknown config key 'train.negative_mode'"),
     ("train", "train.adam_beta1=7", "bad train config: adam_beta1 must be in [0, 1), got 7.0"),
     (
         "train",

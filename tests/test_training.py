@@ -1,5 +1,6 @@
 """Contrastive trainer: loss oracle, finite differences, optimizer, schedule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from adamw_reference import TensorAdamW
 from gradcheck import gradient_check
 
 from assocrank.embeddings import EmbeddingMatrix
-from assocrank.model import AssocModel, param_views
+from assocrank import training
+from assocrank.model import AssocModel, forward, param_views
 from assocrank.pairs import AssocPairSet, extract_pairs
 from assocrank.synthetic import SyntheticSpec, generate_full
 from assocrank.training import (
@@ -88,6 +90,27 @@ class TestLogits:
         assert abs(loss - math.log(2)) < 1e-6
         assert np.isfinite(grads["alpha_raw"]).all()
 
+    def test_each_pair_is_contrasted_with_the_rest_of_its_batch(self):
+        # reference: for every pair i, the cross entropy of a_i against all
+        # b_j and of b_i against all a_j, the other B - 1 pairs its negatives
+        rng = np.random.default_rng(11)
+        for b in (2, 3, 7):
+            model = AssocModel.initialize(6, seed=b).astype(np.float64)
+            xa = unit_rows(rng, b, 6).astype(np.float64)
+            xb = unit_rows(rng, b, 6).astype(np.float64)
+            tau = 0.4
+            fa = np.array([forward(model, row) for row in xa])
+            fb = np.array([forward(model, row) for row in xb])
+            ref = 0.0
+            for i in range(b):
+                for anchor, others in ((fa[i], fb), (fb[i], fa)):
+                    logits = others @ anchor / tau
+                    m = logits.max()
+                    ref += m + math.log(np.exp(logits - m).sum()) - logits[i]
+            ref /= 2 * b
+            _, loss = backward(model, xa, xb, TrainConfig(temperature=tau))
+            assert abs(loss - ref) < 1e-12
+
 
 class TestGradientCheck:
     # finite differences are run on unit-norm inputs with tau >= 0.2: the
@@ -110,19 +133,6 @@ class TestGradientCheck:
             bad = {k: v for k, v in worst.items() if v >= 1e-4}
             assert not bad, f"fd mismatch: {bad}"
 
-    def test_random_sampled_gradients_match_fd(self):
-        rng = np.random.default_rng(6)
-        for trial in range(2):
-            d, b, m = 5, 3, 2
-            model = AssocModel.initialize(d, seed=10 + trial)
-            xa = unit_rows(rng, b, d)
-            xb = unit_rows(rng, b, d)
-            negs = unit_rows(rng, b * m, d).reshape(b, m, d)
-            cfg = TrainConfig(batch_size=b, temperature=0.5, negative_mode="random_sampled")
-            worst = gradient_check(model, xa, xb, cfg, negatives=negs)
-            bad = {k: v for k, v in worst.items() if v >= 1e-4}
-            assert not bad, f"fd mismatch: {bad}"
-
     def test_fd_stable_under_temperature_doubling(self):
         rng = np.random.default_rng(7)
         model = AssocModel.initialize(4, seed=3)
@@ -139,20 +149,17 @@ class TestBackwardValidation:
         with pytest.raises(ValueError, match="side shapes differ"):
             backward(model, np.ones((2, 4)), np.ones((3, 4)), TrainConfig())
 
-    def test_in_batch_rejects_negatives(self):
+    def test_there_is_no_second_objective_to_select(self):
+        # in-batch contrast is the only objective: backward takes no sampled
+        # negatives and the config has no mode to pick another
         model = AssocModel.initialize(4, seed=0)
         x = np.eye(4, dtype=np.float32)[:2]
-        with pytest.raises(ValueError, match="takes no negatives"):
+        with pytest.raises(TypeError):
             backward(model, x, x, TrainConfig(), negatives=np.ones((2, 1, 4)))
-
-    def test_random_sampled_requires_negatives(self):
-        model = AssocModel.initialize(4, seed=0)
-        x = np.eye(4, dtype=np.float32)[:2]
-        cfg = TrainConfig(negative_mode="random_sampled")
-        with pytest.raises(ValueError, match="requires negatives"):
-            backward(model, x, x, cfg)
-        with pytest.raises(ValueError, match="negatives shape"):
-            backward(model, x, x, cfg, negatives=np.ones((2, 1, 5)))
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "batch_size", "temperature", "learning_rate", "epochs", "weight_decay",
+            "adam_beta1", "adam_beta2", "adam_eps", "min_lr_fraction", "seed",
+        ]
 
 
 class TestAdamW:
@@ -256,7 +263,6 @@ class TestTrainConfig:
             {"learning_rate": -1.0},
             {"epochs": -1},
             {"min_lr_fraction": 1.5},
-            {"negative_mode": "hard"},
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**bad).validate()
@@ -327,6 +333,41 @@ class TestTrain:
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
 
+    def test_batches_follow_one_permutation_per_epoch(self, monkeypatch):
+        # the generator seeded by config.seed is drawn only for each epoch's
+        # pair order; batches are consecutive slices of it, and a trailing
+        # single pair is dropped (12 pairs: batches of 5, 5, 2 and of 11, 1)
+        passages, pair_set = two_cluster_fixture(seed=10)
+        assert len(pair_set.pairs) == 12
+        seen = []
+        real_backward = training.backward
+
+        def recording_backward(model, batch_a, batch_b, config):
+            seen.append((batch_a.copy(), batch_b.copy()))
+            return real_backward(model, batch_a, batch_b, config)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        for batch_size, batches_per_epoch in ((5, 3), (11, 1)):
+            cfg = TrainConfig(batch_size=batch_size, epochs=3, seed=12)
+            seen.clear()
+            train(AssocModel.initialize(16, seed=10), pair_set, passages, cfg)
+            rng = np.random.default_rng(cfg.seed)
+            expected = []
+            for _ in range(cfg.epochs):
+                order = rng.permutation(12)
+                for lo in range(0, 12, batch_size):
+                    chunk = order[lo : lo + batch_size]
+                    if chunk.size < 2:
+                        continue
+                    rows = [[passages.row(pair_set.pairs[k][side]) for k in chunk]
+                            for side in (0, 1)]
+                    expected.append((passages.data[rows[0]], passages.data[rows[1]]))
+            assert len(expected) == cfg.epochs * batches_per_epoch
+            assert len(seen) == len(expected)
+            for (got_a, got_b), (want_a, want_b) in zip(seen, expected):
+                assert np.array_equal(got_a, want_a)
+                assert np.array_equal(got_b, want_b)
+
     def test_epochs_zero_is_noop(self):
         passages, pair_set = two_cluster_fixture(seed=2)
         model = AssocModel.initialize(16, seed=2)
@@ -337,15 +378,6 @@ class TestTrain:
         assert report.final_train_accuracy is None
         for (_, arr), prev in zip(model.param_items(), before):
             assert np.array_equal(arr, prev)
-
-    def test_random_sampled_mode_trains(self):
-        passages, pair_set = two_cluster_fixture(seed=4)
-        model = AssocModel.initialize(16, seed=4)
-        cfg = TrainConfig(batch_size=4, temperature=0.3, learning_rate=5e-3,
-                          epochs=3, negative_mode="random_sampled", seed=4)
-        _, report = train(model, pair_set, passages, cfg)
-        assert report.epochs_run == 3
-        assert all(np.isfinite(report.epoch_losses))
 
     def test_batch_size_exceeds_pairs(self):
         passages, pair_set = two_cluster_fixture(seed=5)
