@@ -20,6 +20,7 @@ import io
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from assocrank import evaluation, pairs as pairs_mod, rerank as rerank_mod
 from assocrank.embeddings import load_matrix, save_matrix, write_atomic
@@ -109,9 +110,65 @@ def _section(cfg: dict, prefix: str, cls, skip=(), renamed=None):
     return config
 
 
+# the float reprs that JSON spells otherwise
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+    """Write `json.dumps(payload, sort_keys=True, indent=2)` and a newline,
+    byte for byte, in one pass that skips `json`'s pure-Python encoder."""
+    parts: list[str] = []
+    _json_parts(payload, parts, "\n")
+    parts.append("\n")
+    write_atomic(path, "".join(parts).encode("utf-8"))
+
+
+def _json_parts(value, parts: list[str], indent: str) -> None:
+    """Append `value`'s indent=2, sorted-key JSON text to `parts`; `indent`
+    is a newline and the spaces of the enclosing level.
+
+    The type checks go in the order of `json`'s encoder, so a subclass is
+    written as that encoder writes it; tuples are written as lists. A dict
+    key that is not a string (the string encoder refuses it), and a value of
+    any other type, raise TypeError.
+    """
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        parts.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            sep = "," + inner
+            _json_parts(item, parts, inner)
+        parts.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _json_parts(value[key], parts, inner)
+        parts.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _rerank_config(cfg: dict) -> RerankConfig:
@@ -277,8 +334,9 @@ def cmd_eval(cfg: dict) -> int:
         {qid: [passages.ids[r] for r in row] for qid, row in zip(scored.query_ids, rows.tolist())}
         for rows in (scored.rows, ranked)
     )
-    baseline = evaluation.evaluate_system("dense", dense_rankings, records, ks, texts)
-    reranked = evaluation.evaluate_system("rerank", rerank_rankings, records, ks, texts)
+    normalized: dict[str, str] = {}  # each text's qa_normalize form, for both systems
+    baseline = evaluation.evaluate_system("dense", dense_rankings, records, ks, texts, normalized)
+    reranked = evaluation.evaluate_system("rerank", rerank_rankings, records, ks, texts, normalized)
     report = evaluation.compare_systems(
         baseline,
         reranked,

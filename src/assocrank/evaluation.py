@@ -49,16 +49,12 @@ def recall_at_k(ranked_ids: list[str], gold_ids: list[str], k: int) -> float:
     return len(gold & set(ranked_ids[:k])) / len(gold)
 
 
-def _answer_rank(ranked_texts: list[str], answer: str, limit: int) -> int:
-    """0-based rank of the first of the top `limit` texts whose normalized
-    form contains the normalized answer, or `limit` if none does."""
-    needle = qa_normalize(answer)
-    if not needle:
-        raise ValueError("answer normalizes to the empty string")
-    for rank, text in enumerate(ranked_texts[:limit]):
-        if needle in qa_normalize(text):
-            return rank
-    return limit
+def _normal_form(normalized: dict[str, str], text: str) -> str:
+    """`qa_normalize(text)`, from the dict `normalized` or added to it."""
+    form = normalized.get(text)
+    if form is None:
+        form = normalized[text] = qa_normalize(text)
+    return form
 
 
 @dataclass
@@ -102,16 +98,25 @@ def evaluate_system(
     records: list[QuestionRecord],
     ks: tuple[int, ...] = DEFAULT_KS,
     texts: dict[str, str] | None = None,
+    normalized: dict[str, str] | None = None,
 ) -> SystemEval:
     """Score one system's rankings against question records.
 
     Every record needs a ranking; coverage is computed only when passage
-    texts are supplied.
+    texts are supplied. Coverage scans each question's top max(ks) texts
+    in rank order up to the first that holds the answer. It reads the
+    answer's and each scanned text's `qa_normalize` form from `normalized`,
+    a dict from raw text to that form, and adds the texts it lacks, so an
+    eval that passes one dict to each of its systems normalizes every
+    distinct text at most once. Without one, the call keeps its own.
     """
     if not records:
         raise ValueError("no records to evaluate")
     questions: dict[str, QuestionResult] = {}
     cov_acc = {k: 0.0 for k in ks} if texts is not None else None
+    if normalized is None:
+        normalized = {}
+    limit = max(ks, default=0)
     for rec in records:
         if rec.question_id not in rankings:
             raise ValueError(f"no ranking for question {rec.question_id!r}")
@@ -121,8 +126,13 @@ def evaluate_system(
             ranks[gid] = ranked.index(gid) + 1 if gid in ranked else None
         recall = {k: recall_at_k(ranked, rec.gold_passage_ids, k) for k in ks}
         if texts is not None:
-            limit = max(ks, default=0)
-            hit = _answer_rank([texts[pid] for pid in ranked[:limit]], rec.gold_answer, limit)
+            top = [texts[pid] for pid in ranked[:limit]]
+            needle = _normal_form(normalized, rec.gold_answer)
+            if not needle:
+                raise ValueError("answer normalizes to the empty string")
+            # 0-based rank of the first text that holds the answer, or limit;
+            # the texts after it are not normalized
+            hit = next((rank for rank, text in enumerate(top) if needle in _normal_form(normalized, text)), limit)
             for k in ks:
                 cov_acc[k] += 1.0 if hit < k else 0.0
         questions[rec.question_id] = QuestionResult(
@@ -146,19 +156,18 @@ def easy_hard_split(baseline: SystemEval) -> tuple[set[str], set[str]]:
 
 
 def paired_bootstrap_ci(deltas: np.ndarray, resamples: int = 10000, seed: int = 0):
-    """Percentile bootstrap CI (2.5th / 97.5th) for the mean paired delta.
+    """Percentile bootstrap CIs (2.5th / 97.5th) for mean paired deltas.
 
-    `deltas` is one (n,) array, which gives one (low, high) pair, or a
-    (rows, n) array of deltas over the same n items, which gives a list of
-    one pair per row. Every row is resampled with the same index draws, so
-    each row's CI equals the CI of that row on its own with the same seed.
+    `deltas` is a (rows, n) array of deltas over the same n items; the result
+    is a list of one (low, high) pair per row. Every row is resampled with
+    the same index draws, so each row's CI equals the CI of that row on its
+    own with the same seed.
     """
-    d = np.asarray(deltas, dtype=np.float64)
-    if d.ndim not in (1, 2) or d.size == 0:
-        raise ValueError("deltas must be a non-empty 1-D array or a 2-D array of rows")
+    rows = np.asarray(deltas, dtype=np.float64)
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError("deltas must be a non-empty 2-D array of rows")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    rows = d.reshape(-1, d.shape[-1])
     rng = np.random.default_rng(seed)
     means = np.empty((len(rows), resamples), dtype=np.float64)
     # index draws in blocks of this many resamples: 4 MB of int64 for 500
@@ -182,8 +191,7 @@ def paired_bootstrap_ci(deltas: np.ndarray, resamples: int = 10000, seed: int = 
         # order, so the generator's stream is consumed as in one loop
         _, idx = map_chunks(lambda chunk: draw(next_lo) if chunk else fill(lo, idx), 2)
     fill(starts[-1], idx)
-    cis = [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]
-    return cis if d.ndim == 2 else cis[0]
+    return [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]
 
 
 @dataclass

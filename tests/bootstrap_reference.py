@@ -5,11 +5,10 @@ import numpy as np
 
 
 def sequential_bootstrap_ci(deltas, resamples: int = 10000, seed: int = 0):
-    """Percentile bootstrap CI (2.5th / 97.5th) for the mean paired delta:
-    one (low, high) pair for (n,) deltas, a list of one pair per row for
-    (rows, n) deltas, every row resampled with the same index draws."""
-    d = np.asarray(deltas, dtype=np.float64)
-    rows = d.reshape(-1, d.shape[-1])
+    """Percentile bootstrap CIs (2.5th / 97.5th) for mean paired deltas: a
+    list of one (low, high) pair per row of (rows, n) deltas, every row
+    resampled with the same index draws."""
+    rows = np.asarray(deltas, dtype=np.float64)
     rng = np.random.default_rng(seed)
     means = np.empty((len(rows), resamples), dtype=np.float64)
     block = 1000
@@ -18,5 +17,4 @@ def sequential_bootstrap_ci(deltas, resamples: int = 10000, seed: int = 0):
         idx = rng.integers(0, rows.shape[1], size=(hi - lo, rows.shape[1]))
         for row, out in zip(rows, means):
             out[lo:hi] = row[idx].mean(axis=1)
-    cis = [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]
-    return cis if d.ndim == 2 else cis[0]
+    return [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]

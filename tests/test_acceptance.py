@@ -299,14 +299,14 @@ class TestAcceptance:
             n = int(rng.integers(2, 30))
             deltas = rng.normal(size=n)
             seed = int(rng.integers(0, 10_000))
-            got = paired_bootstrap_ci(deltas, resamples=200, seed=seed)
+            got = paired_bootstrap_ci(deltas[None], resamples=200, seed=seed)[0]
             idx = np.random.default_rng(seed).integers(0, n, size=(200, n))
             means = np.array([deltas[row].mean() for row in idx])
             want = (float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5)))
             if abs(got[0] - want[0]) > 1e-12 or abs(got[1] - want[1]) > 1e-12:
                 mismatches.append("paired_bootstrap_ci")
 
-        zero_ci = paired_bootstrap_ci(np.zeros(60), resamples=500, seed=3)
+        zero_ci = paired_bootstrap_ci(np.zeros(60)[None], resamples=500, seed=3)[0]
         if zero_ci != (0.0, 0.0):
             mismatches.append("zero-delta ci")
         if qa_normalize("The Big Apple!") != "big apple":

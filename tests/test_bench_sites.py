@@ -102,6 +102,30 @@ def test_eval_reaches_the_traced_stages(calls, tmp_path, questions):
     }
 
 
+def test_eval_passes_each_system_its_rankings(monkeypatch, tmp_path):
+    """perfbench's eval check wraps `evaluate_system` as
+    `(system, rankings, *args, **kwargs)` and reads, for "dense" and then
+    "rerank", each question's ranked passage ids from `rankings`."""
+    argv = eval_argv(tmp_path)
+    seen = []
+    real = evaluation.evaluate_system
+
+    def capture(system, rankings, *args, **kwargs):
+        seen.append((system, rankings))
+        return real(system, rankings, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_system", capture)
+    assert cli.main(["eval"] + argv) == 0
+    assert [system for system, _ in seen] == ["dense", "rerank"]
+    passage_ids = set(cli.load_matrix(str(tmp_path / "passages.aare")).ids)
+    question_ids = set(cli.load_matrix(str(tmp_path / "queries.aare")).ids)
+    for _, rankings in seen:
+        assert type(rankings) is dict and set(rankings) == question_ids
+        for ranked in rankings.values():
+            assert type(ranked) is list and len(ranked) == 20
+            assert set(ranked) <= passage_ids and len(set(ranked)) == 20
+
+
 def test_latency_bench_times_each_query_alone(calls, monkeypatch):
     rng = np.random.default_rng(3)
     data = rng.normal(size=(50, 8)).astype(np.float32)

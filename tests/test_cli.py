@@ -1,6 +1,8 @@
 """Config parsing and the subcommand pipeline end to end."""
 
+import enum
 import json
+import math
 import os
 import shutil
 import stat
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import assocrank
 from assocrank import cli
@@ -168,6 +172,103 @@ class TestConfigParsing:
             os.umask(old_umask)
         assert stat.S_IMODE(fresh.stat().st_mode) == mode
         assert stat.S_IMODE(existing.stat().st_mode) == mode
+
+
+# strings with JSON escapes, control and non-ASCII characters and lone surrogates
+json_strings = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(categories=["Cc", "Cs"]),
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'),
+    )
+)
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.floats(),
+        st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf, 2**64]),
+        json_strings,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_strings, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriteJson:
+    """`write_json` writes the bytes of `json.dumps(payload, sort_keys=True,
+    indent=2)` and a newline, without `json`'s encoder."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(payload=json_values)
+    def test_bytes_equal_json_dumps(self, payload, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        write_json(str(path), payload)
+        assert path.read_bytes() == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    def test_hand_cases(self, tmp_path):
+        path = tmp_path / "out.json"
+        payload = {"b": [1, (2.5, None)], "a": {"x": {}, "y": []}, "c": -0.0, "d": True, "é": "\u2028"}
+        write_json(str(path), payload)
+        assert path.read_text() == (
+            '{\n  "a": {\n    "x": {},\n    "y": []\n  },\n  "b": [\n    1,\n    [\n      2.5,\n'
+            '      null\n    ]\n  ],\n  "c": -0.0,\n  "d": true,\n  "\\u00e9": "\\u2028"\n}\n'
+        )
+
+    def test_subclasses_are_written_as_json_writes_them(self, tmp_path):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Loud(float):
+            def __repr__(self):
+                return "loud"
+
+        class Name(str):
+            pass
+
+        path = tmp_path / "out.json"
+        payload = {Name("k"): [Level.HIGH, Loud(0.5), Name("v"), True]}
+        write_json(str(path), payload)
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert "HIGH" not in path.read_text() and "loud" not in path.read_text()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{1: "a"}, {"a": {None: 1}}, {"a": {1, 2}}, {"a": [np.float32(1.0)]}, {"a": b"bytes"}],
+        ids=["int-key", "none-key", "set", "float32", "bytes"],
+    )
+    def test_unsupported_input_raises_type_error(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            write_json(str(path), payload)
+        assert os.listdir(tmp_path) == []
+
+    def test_subcommands_write_their_payloads(self, tmp_path, monkeypatch):
+        cfg = base_config(tmp_path)
+        config_path = tmp_path / "run.cfg"
+        write_config(config_path, cfg)
+        for command in ("synth", "pairs"):
+            assert main([command, "--config", str(config_path)]) == 0
+        written = {}
+        real = cli.write_json
+
+        def recording(path, payload):
+            written[path] = payload
+            real(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", recording)
+        for command in ("train", "eval", "bench"):
+            assert main([command, "--config", str(config_path)]) == 0
+        assert set(written) == {cfg["train.report"], cfg["eval.out"], cfg["bench.out"]}
+        for path, payload in written.items():
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert Path(path).read_bytes() == want.encode("utf-8")
 
 
 @pytest.fixture(scope="module")

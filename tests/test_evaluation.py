@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from bootstrap_reference import sequential_bootstrap_ci
 
-from assocrank import evaluation
+from assocrank import cli, evaluation
 from assocrank.embeddings import EmbeddingMatrix
 from assocrank.evaluation import (
     ComponentTiming,
@@ -108,6 +108,19 @@ def coverage(texts, answer, k):
     return ev.coverage_at[k]
 
 
+def scanned_texts(rankings, records, texts, limit):
+    """The texts coverage normalizes: every answer, and each question's top
+    `limit` texts in rank order up to the first that holds its answer."""
+    out = {rec.gold_answer for rec in records}
+    for rec in records:
+        needle = qa_normalize(rec.gold_answer)
+        for pid in rankings[rec.question_id][:limit]:
+            out.add(texts[pid])
+            if needle in qa_normalize(texts[pid]):
+                break
+    return out
+
+
 class TestCoverageAtK:
     def test_hand_cases(self):
         texts = ["the answer is Paris.", "nothing here"]
@@ -152,26 +165,26 @@ class TestCoverageAtK:
 
 class TestBootstrap:
     def test_all_equal_deltas_degenerate_ci(self):
-        lo, hi = paired_bootstrap_ci(np.full(50, 0.25), resamples=500, seed=1)
+        lo, hi = paired_bootstrap_ci(np.full(50, 0.25)[None], resamples=500, seed=1)[0]
         assert (lo, hi) == (0.25, 0.25)
 
     def test_all_zero_deltas(self):
-        lo, hi = paired_bootstrap_ci(np.zeros(100), resamples=1000, seed=0)
+        lo, hi = paired_bootstrap_ci(np.zeros(100)[None], resamples=1000, seed=0)[0]
         assert (lo, hi) == (0.0, 0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         d = rng.normal(size=80)
-        a = paired_bootstrap_ci(d, resamples=2000, seed=7)
-        b = paired_bootstrap_ci(d, resamples=2000, seed=7)
+        a = paired_bootstrap_ci(d[None], resamples=2000, seed=7)[0]
+        b = paired_bootstrap_ci(d[None], resamples=2000, seed=7)[0]
         assert a == b
-        c = paired_bootstrap_ci(d, resamples=2000, seed=8)
+        c = paired_bootstrap_ci(d[None], resamples=2000, seed=8)[0]
         assert a != c
 
     def test_close_to_analytic_normal_ci(self):
         rng = np.random.default_rng(6)
         d = rng.normal(loc=0.3, scale=1.0, size=400)
-        lo, hi = paired_bootstrap_ci(d, resamples=10_000, seed=2)
+        lo, hi = paired_bootstrap_ci(d[None], resamples=10_000, seed=2)[0]
         se = d.std(ddof=1) / math.sqrt(d.size)
         a_lo = d.mean() - 1.96 * se
         a_hi = d.mean() + 1.96 * se
@@ -187,7 +200,7 @@ class TestBootstrap:
             n = int(rng.integers(2, 30))
             d = rng.normal(size=n)
             seed = int(rng.integers(0, 10_000))
-            got = paired_bootstrap_ci(d, resamples=200, seed=seed)
+            got = paired_bootstrap_ci(d[None], resamples=200, seed=seed)[0]
             ref_rng = np.random.default_rng(seed)
             idx = ref_rng.integers(0, n, size=(200, n))
             means = np.array([d[row].mean() for row in idx])
@@ -201,15 +214,17 @@ class TestBootstrap:
         # be those of drawing and averaging one block after another
         pool_of(threads)
         rng = np.random.default_rng(resamples)
-        for deltas in (rng.normal(size=37), rng.integers(-2, 3, size=(3, 150)) / 4):
+        for deltas in (rng.normal(size=37)[None], rng.integers(-2, 3, size=(3, 150)) / 4):
             got = paired_bootstrap_ci(deltas, resamples=resamples, seed=11)
             assert got == sequential_bootstrap_ci(deltas, resamples=resamples, seed=11)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="non-empty"):
             paired_bootstrap_ci(np.array([]))
+        with pytest.raises(ValueError, match="2-D"):
+            paired_bootstrap_ci(np.ones(3))
         with pytest.raises(ValueError, match="resamples"):
-            paired_bootstrap_ci(np.ones(3), resamples=0)
+            paired_bootstrap_ci(np.ones(3)[None], resamples=0)
 
 
 def rankings_fixture():
@@ -250,8 +265,8 @@ class TestEvaluateSystem:
         assert plain.coverage_at is None
 
     def test_coverage_normalizes_each_text_once(self, monkeypatch):
-        # coverage at every k equals a brute-force scan, and a question
-        # normalizes its answer and at most its top max(ks) texts once each
+        # coverage at every k equals a brute-force scan, and the call
+        # normalizes each distinct answer and scanned text once
         rng = np.random.default_rng(14)
         vocab = ["alpha", "beta", "gamma", "delta", "the"]
         texts = {f"p{i}": " ".join(rng.choice(vocab, size=3)) for i in range(30)}
@@ -271,9 +286,88 @@ class TestEvaluateSystem:
         monkeypatch.setattr(evaluation, "qa_normalize", lambda t: calls.append(t) or real(t))
         ev = evaluate_system("dense", rankings, records, ks=ks, texts=texts)
         assert ev.coverage_at == want
-        assert 0 < len(calls) <= len(records) * (1 + max(ks))
+        assert sorted(calls) == sorted(scanned_texts(rankings, records, texts, max(ks)))
         with pytest.raises(ValueError, match="empty string"):
             evaluate_system("dense", rankings, [record("q0", ["p0"], answer="the")], ks, texts)
+
+    def test_a_shared_cache_gives_the_same_coverage(self):
+        # articles, punctuation, case, non-ASCII and texts repeated under
+        # several ids, ranked by two systems that share one cache
+        texts = {
+            "p0": "The Café, in PARIS!",
+            "p1": "An apple a day...",
+            "p2": "naïve RÉSUMÉ — the end",
+            "p3": "The Café, in PARIS!",
+            "p4": "Ünïcode: Straße; the X",
+            "p5": "nothing at all",
+            "p6": "An apple a day...",
+        }
+        records = [
+            record("q0", ["p0"], answer="the café"),
+            record("q1", ["p1"], answer="APPLE DAY"),
+            record("q2", ["p2"], answer="résumé the end"),
+            record("q3", ["p4"], answer="straße x"),
+            record("q4", ["p5"], answer="the café"),
+        ]
+        rng = np.random.default_rng(15)
+        systems = [{rec.question_id: list(rng.permutation(list(texts))) for rec in records} for _ in range(2)]
+        ks = (1, 2, 4)
+        shared: dict = {}
+        for rankings in systems:
+            want = evaluate_system("dense", rankings, records, ks, texts)
+            got = evaluate_system("dense", rankings, records, ks, texts, shared)
+            assert got.coverage_at == want.coverage_at
+            assert got.to_json_dict() == want.to_json_dict()
+        assert set(shared) == set().union(*(scanned_texts(r, records, texts, max(ks)) for r in systems))
+        assert all(shared[text] == qa_normalize(text) for text in shared)
+
+    def test_coverage_reads_the_shared_cache(self):
+        # a text already in the cache is not normalized again
+        texts = {"p0": "holds the key"}
+        cache = {"holds the key": "no"}
+        ev = evaluate_system("dense", {"q": ["p0"]}, [record("q", ["p0"], answer="key")], (1,), texts, cache)
+        assert ev.coverage_at == {1: 0.0}
+
+    def test_one_eval_normalizes_each_text_once(self, monkeypatch, tmp_path):
+        # one `eval` normalizes each distinct answer and each distinct text
+        # that either system's coverage scan reaches exactly once
+        settings = {
+            "passages": tmp_path / "passages.aare",
+            "queries": tmp_path / "queries.aare",
+            "records": tmp_path / "records.jsonl",
+            "texts": tmp_path / "texts.jsonl",
+            "pairs": tmp_path / "pairs.tsv",
+            "checkpoint": tmp_path / "model.aarm",
+            "eval.out": tmp_path / "eval.json",
+            "synth.n_passages": 200,
+            "synth.dim": 8,
+            "synth.n_questions": 40,
+            "train.epochs": 2,
+            "train.batch_size": 8,
+            "rerank.pool_depth": 20,
+            "eval.ks": [5, 8],
+        }
+        argv = [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+        for command in ("synth", "pairs", "train"):
+            assert cli.main([command] + argv) == 0
+        seen = []
+        real_evaluate = evaluation.evaluate_system
+
+        def capture(system, rankings, records, ks, texts, *args):
+            seen.append((rankings, records, texts))
+            return real_evaluate(system, rankings, records, ks, texts, *args)
+
+        calls = []
+        real = evaluation.qa_normalize
+        monkeypatch.setattr(evaluation, "qa_normalize", lambda t: calls.append(t) or real(t))
+        monkeypatch.setattr(evaluation, "evaluate_system", capture)
+        assert cli.main(["eval"] + argv) == 0
+        assert len(seen) == 2
+        scanned = set().union(*(scanned_texts(rankings, records, texts, 8) for rankings, records, texts in seen))
+        assert sorted(calls) == sorted(scanned)
+        # the scans stop at the first hit, short of some top max(ks) texts
+        top = {texts[p] for rankings, _, texts in seen for ranked in rankings.values() for p in ranked[:8]}
+        assert not top <= scanned
 
     def test_coverage_reads_texts_of_the_top_max_k_only(self):
         records, baseline, _ = rankings_fixture()
@@ -364,7 +458,7 @@ class TestEasyHardAndCompare:
         qids = sorted(b.questions)
         for k in ks:
             d = np.array([r.questions[q].recall[k] - b.questions[q].recall[k] for q in qids])
-            lo, hi = paired_bootstrap_ci(d, resamples=2345, seed=9)
+            lo, hi = paired_bootstrap_ci(d[None], resamples=2345, seed=9)[0]
             assert (report.deltas[k]["ci_low"], report.deltas[k]["ci_high"]) == (lo, hi)
             assert report.deltas[k]["delta"] == float(d.mean())
 
