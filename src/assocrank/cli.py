@@ -22,6 +22,8 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from assocrank import evaluation, pairs as pairs_mod, rerank as rerank_mod
 from assocrank.embeddings import load_matrix, save_matrix, write_atomic
 from assocrank.model import AssocModel, load_model, save_model, transform_matrix
@@ -330,9 +332,10 @@ def cmd_eval(cfg: dict) -> int:
         cfg, "eval.ks", evaluation.HIT_K, texts=True
     )
     ranked = rerank_mod.rank_rows(scored, config.blend_lambda, config.pool_depth)
+    # each system's ranked ids in one take, as lists of str
+    ids = np.array(passages.ids, dtype=object)
     dense_rankings, rerank_rankings = (
-        {qid: [passages.ids[r] for r in row] for qid, row in zip(scored.query_ids, rows.tolist())}
-        for rows in (scored.rows, ranked)
+        dict(zip(scored.query_ids, ids[rows].tolist())) for rows in (scored.rows, ranked)
     )
     normalized: dict[str, str] = {}  # each text's qa_normalize form, for both systems
     baseline = evaluation.evaluate_system("dense", dense_rankings, records, ks, texts, normalized)

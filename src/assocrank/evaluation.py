@@ -1,9 +1,10 @@
 """Retrieval metrics, ablation sweeps, and the latency benchmark.
 
-Recall@k counts gold passages in the top k; Coverage@k checks whether the
-normalized gold answer appears as a substring of any normalized top-k passage
-text. The normalizer lowercases, drops standalone article tokens (a, an,
-the), strips punctuation, collapses whitespace and trims.
+Recall@k is the share of a question's distinct gold passages whose rank is at
+most k, read from the gold ranks found in its ranking; Coverage@k checks
+whether the normalized gold answer appears as a substring of any normalized
+top-k passage text. The normalizer lowercases, drops standalone article
+tokens (a, an, the), strips punctuation, collapses whitespace and trims.
 Uncertainty on paired deltas comes from a seeded percentile bootstrap.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import re
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,22 +33,16 @@ _PUNCT = re.compile(r"[^\w\s]")
 
 
 def qa_normalize(text: str) -> str:
-    """Normalize an answer string. Idempotent."""
-    out = text.lower()
-    out = " ".join(tok for tok in out.split() if tok not in _ARTICLES)
-    out = _PUNCT.sub("", out)
-    out = " ".join(out.split())
-    return out
+    """Normalize an answer string. Idempotent.
 
-
-def recall_at_k(ranked_ids: list[str], gold_ids: list[str], k: int) -> float:
-    """Fraction of the gold set present in the top k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    gold = set(gold_ids)
-    if not gold:
-        raise ValueError("empty gold set")
-    return len(gold & set(ranked_ids[:k])) / len(gold)
+    The text is split once. Joined with single spaces, its tokens are
+    already collapsed, so it is split again only when stripping punctuation
+    removed something and may have emptied a token."""
+    tokens = text.lower().split()
+    if not _ARTICLES.isdisjoint(tokens):
+        tokens = [tok for tok in tokens if tok not in _ARTICLES]
+    out, removed = _PUNCT.subn("", " ".join(tokens))
+    return " ".join(out.split()) if removed else out
 
 
 def _normal_form(normalized: dict[str, str], text: str) -> str:
@@ -102,37 +98,55 @@ def evaluate_system(
 ) -> SystemEval:
     """Score one system's rankings against question records.
 
-    Every record needs a ranking; coverage is computed only when passage
-    texts are supplied. Coverage scans each question's top max(ks) texts
-    in rank order up to the first that holds the answer. It reads the
-    answer's and each scanned text's `qa_normalize` form from `normalized`,
-    a dict from raw text to that form, and adds the texts it lacks, so an
-    eval that passes one dict to each of its systems normalizes every
-    distinct text at most once. Without one, the call keeps its own.
+    Every record needs a ranking and its own question_id. Each distinct
+    gold id's rank is its first place in the ranking, found by one scan,
+    and recall@k is the share of those ranks at most k. Coverage is
+    computed only when passage texts are supplied. It scans each
+    question's top max(ks) texts in rank order, reading each text only
+    until one holds the answer. It reads the answer's and each scanned
+    text's `qa_normalize` form from `normalized`, a dict from raw text to
+    that form, and adds the texts it lacks, so an eval that passes one dict
+    to each of its systems normalizes every distinct text at most once.
+    Without one, the call keeps its own.
     """
     if not records:
         raise ValueError("no records to evaluate")
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
     questions: dict[str, QuestionResult] = {}
     cov_acc = {k: 0.0 for k in ks} if texts is not None else None
     if normalized is None:
         normalized = {}
     limit = max(ks, default=0)
     for rec in records:
+        if rec.question_id in questions:
+            raise ValueError(f"duplicate question_id {rec.question_id!r}")
         if rec.question_id not in rankings:
             raise ValueError(f"no ranking for question {rec.question_id!r}")
         ranked = rankings[rec.question_id]
         ranks: dict[str, int | None] = {}
         for gid in rec.gold_passage_ids:
-            ranks[gid] = ranked.index(gid) + 1 if gid in ranked else None
-        recall = {k: recall_at_k(ranked, rec.gold_passage_ids, k) for k in ks}
+            try:
+                ranks[gid] = ranked.index(gid) + 1
+            except ValueError:
+                ranks[gid] = None
+        if not ranks:
+            raise ValueError("empty gold set")
+        # the gold ranks at most k, counted by bisection of the sorted ranks
+        found = sorted([rank for rank in ranks.values() if rank is not None])
+        recall = {k: bisect_right(found, k) / len(ranks) for k in ks}
         if texts is not None:
-            top = [texts[pid] for pid in ranked[:limit]]
             needle = _normal_form(normalized, rec.gold_answer)
             if not needle:
                 raise ValueError("answer normalizes to the empty string")
             # 0-based rank of the first text that holds the answer, or limit;
-            # the texts after it are not normalized
-            hit = next((rank for rank, text in enumerate(top) if needle in _normal_form(normalized, text)), limit)
+            # the texts after it are neither read nor normalized
+            hit = limit
+            for rank, pid in enumerate(ranked[:limit]):
+                if needle in _normal_form(normalized, texts[pid]):
+                    hit = rank
+                    break
             for k in ks:
                 cov_acc[k] += 1.0 if hit < k else 0.0
         questions[rec.question_id] = QuestionResult(

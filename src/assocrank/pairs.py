@@ -99,12 +99,12 @@ def _text_lines(path: str):
 
 
 def _json_objects(path: str, kinds: dict[str, str]):
-    """`_json_object` of each non-blank line of a JSON-lines file. A line
-    that is not UTF-8 raises ValueError naming path:lineno."""
+    """(lineno, `_json_object`) of each non-blank line of a JSON-lines file.
+    A line that is not UTF-8 raises ValueError naming path:lineno."""
     for lineno, line in enumerate(_text_lines(path), 1):
         line = line.strip()
         if line:
-            yield _json_object(line, path, lineno, kinds)
+            yield lineno, _json_object(line, path, lineno, kinds)
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -160,12 +160,16 @@ _RECORD_FIELDS = {f.name: f.type for f in fields(QuestionRecord)}
 
 
 def load_records(path: str) -> list[QuestionRecord]:
-    records = []
-    for values in _json_objects(path, _RECORD_FIELDS):
+    """The validated records of a JSON-lines file; a question_id that an
+    earlier line holds raises ValueError naming path:lineno."""
+    records = {}
+    for lineno, values in _json_objects(path, _RECORD_FIELDS):
         rec = QuestionRecord(**values)
         rec.validate()
-        records.append(rec)
-    return records
+        if rec.question_id in records:
+            raise ValueError(f"{path}:{lineno}: duplicate question_id {rec.question_id!r}")
+        records[rec.question_id] = rec
+    return list(records.values())
 
 
 def save_records(records: list[QuestionRecord], path: str) -> None:

@@ -26,7 +26,6 @@ from assocrank.evaluation import (
     paired_bootstrap_ci,
     pool_depth_sweep,
     qa_normalize,
-    recall_at_k,
 )
 from assocrank.model import AssocModel, param_count, transform_matrix
 from assocrank.pairs import QuestionRecord, extract_pairs, shuffle_pairs, similar_positive_pairs, split_policy
@@ -275,8 +274,10 @@ class TestAcceptance:
             gold = list(rng.choice(universe, size=rng.integers(1, 5), replace=False))
             k = int(rng.integers(1, 25))
             want = len(set(gold) & set(ranked[:k])) / len(set(gold))
-            if recall_at_k(ranked, gold, k) != want:
-                mismatches.append("recall_at_k")
+            # one question with this ranking, as `eval` scores recall
+            rec = QuestionRecord("q", "q", gold, "x", "validation")
+            if evaluate_system("dense", {"q": ranked}, [rec], (k,)).recall_at[k] != want:
+                mismatches.append("evaluate_system recall")
 
         vocab = ["alpha", "beta", "gamma", "delta!", "the", "a,", "42"]
         done = 0

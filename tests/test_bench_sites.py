@@ -105,25 +105,38 @@ def test_eval_reaches_the_traced_stages(calls, tmp_path, questions):
 def test_eval_passes_each_system_its_rankings(monkeypatch, tmp_path):
     """perfbench's eval check wraps `evaluate_system` as
     `(system, rankings, *args, **kwargs)` and reads, for "dense" and then
-    "rerank", each question's ranked passage ids from `rankings`."""
+    "rerank", each question's ranked passage ids from `rankings`: the ids
+    of the pools' rows, and of the rows `rank_rows` ranks, as lists of str."""
     argv = eval_argv(tmp_path)
-    seen = []
+    seen, returned = [], {}
     real = evaluation.evaluate_system
 
     def capture(system, rankings, *args, **kwargs):
         seen.append((system, rankings))
         return real(system, rankings, *args, **kwargs)
 
+    def keep(name, fn):
+        def kept(*args, **kwargs):
+            returned[name] = fn(*args, **kwargs)
+            return returned[name]
+
+        return kept
+
     monkeypatch.setattr(evaluation, "evaluate_system", capture)
+    monkeypatch.setattr(rerank, "score_pool", keep("score_pool", rerank.score_pool))
+    monkeypatch.setattr(rerank, "rank_rows", keep("rank_rows", rerank.rank_rows))
     assert cli.main(["eval"] + argv) == 0
     assert [system for system, _ in seen] == ["dense", "rerank"]
-    passage_ids = set(cli.load_matrix(str(tmp_path / "passages.aare")).ids)
-    question_ids = set(cli.load_matrix(str(tmp_path / "queries.aare")).ids)
-    for _, rankings in seen:
-        assert type(rankings) is dict and set(rankings) == question_ids
-        for ranked in rankings.values():
-            assert type(ranked) is list and len(ranked) == 20
-            assert set(ranked) <= passage_ids and len(set(ranked)) == 20
+    passage_ids = cli.load_matrix(str(tmp_path / "passages.aare")).ids
+    question_ids = cli.load_matrix(str(tmp_path / "queries.aare")).ids
+    assert list(returned["score_pool"].query_ids) == question_ids
+    rows = {"dense": returned["score_pool"].rows, "rerank": returned["rank_rows"]}
+    for system, rankings in seen:
+        assert type(rankings) is dict and list(rankings) == question_ids
+        for ranked, row in zip(rankings.values(), rows[system].tolist()):
+            assert type(ranked) is list and all(type(pid) is str for pid in ranked)
+            assert ranked == [passage_ids[r] for r in row]
+            assert len(ranked) == len(set(ranked)) == 20
 
 
 def test_latency_bench_times_each_query_alone(calls, monkeypatch):

@@ -722,6 +722,24 @@ class TestErrors:
         assert err.startswith(f"error: ValueError: {bad}:3: invalid JSON (maximum recursion depth")
         assert not out.exists()
 
+    def test_repeated_question_id_fails_before_scoring(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            pytest.fail("scored a pool")
+
+        monkeypatch.setattr(cli.rerank_mod, "score_pool", no_scoring)
+        _, cfg, config_path = pipeline
+        lines = Path(cfg["records"]).read_text(encoding="utf-8").splitlines()
+        qid = json.loads(lines[0])["question_id"]
+        bad = tmp_path / "records.jsonl"
+        bad.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--config", str(config_path), "--set", f"records={bad}"]
+        argv += ["--set", f"eval.out={out}"]
+        capsys.readouterr()
+        err = self.run_expecting_error(argv, capsys, "")
+        assert err == f"error: ValueError: {bad}:{len(lines) + 1}: duplicate question_id {qid!r}\n"
+        assert not out.exists()
+
     def test_texts_without_a_passage_fail_before_scoring(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 from bootstrap_reference import sequential_bootstrap_ci
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from normalize_reference import reference_normalize
 
 from assocrank import cli, evaluation
 from assocrank.embeddings import EmbeddingMatrix
@@ -21,7 +24,6 @@ from assocrank.evaluation import (
     pool_depth_sweep,
     qa_normalize,
     rank_movement_report,
-    recall_at_k,
 )
 from assocrank.model import AssocModel, transform_matrix
 from assocrank.pairs import QuestionRecord
@@ -59,18 +61,47 @@ class TestQaNormalize:
             once = qa_normalize(text)
             assert qa_normalize(once) == once
 
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["a", "A", "an", "An", "AN", "the", "The", "THE", "tHe", "theatre", "İ", "x!y"]),
+                st.text(alphabet="aAnNtThHeE.,!?'-", max_size=4),
+                st.text(alphabet=" \t\n\x1c\x1d\x1e\x1f\x85\xa0\u2009\u2028\u3000", min_size=1, max_size=3),
+                st.text(max_size=4),
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_equals_the_four_pass_reference(self, text):
+        assert qa_normalize(text) == reference_normalize(text)
+
     def test_articles_only_as_whole_tokens(self):
         # "theatre" keeps its leading "the"
         assert qa_normalize("theatre") == "theatre"
         assert qa_normalize("an anthem") == "anthem"
 
 
+def brute_recall(ranked, gold, k):
+    """The share of the distinct gold ids in the top k, from two sets."""
+    return len(set(gold) & set(ranked[:k])) / len(set(gold))
+
+
+def recall(ranked, gold, k):
+    """Recall@k of one question ranked as `ranked`, as `evaluate_system`
+    scores it for `eval`."""
+    ev = evaluate_system("dense", {"q": ranked}, [record("q", gold)], ks=(k,))
+    assert ev.questions["q"].recall == {k: ev.recall_at[k]}
+    return ev.recall_at[k]
+
+
 class TestRecallAtK:
     def test_hand_cases(self):
         ranked = ["A", "C", "B", "D", "E"]
-        assert recall_at_k(ranked, ["A", "B"], 5) == 1.0
-        assert recall_at_k(ranked, ["A", "Z"], 5) == 0.5
-        assert recall_at_k(ranked, ["Z"], 5) == 0.0
+        assert recall(ranked, ["A", "B"], 5) == 1.0
+        assert recall(ranked, ["A", "Z"], 5) == 0.5
+        assert recall(ranked, ["Z"], 5) == 0.0
+        assert recall(ranked, ["B", "E"], 3) == 0.5
 
     def test_matches_brute_force_on_100_fixtures(self):
         rng = np.random.default_rng(2)
@@ -79,8 +110,7 @@ class TestRecallAtK:
             ranked = list(rng.permutation(universe)[: rng.integers(1, 30)])
             gold = list(rng.choice(universe, size=rng.integers(1, 5), replace=False))
             k = int(rng.integers(1, 25))
-            want = len(set(gold) & set(ranked[:k])) / len(set(gold))
-            assert recall_at_k(ranked, gold, k) == want
+            assert recall(ranked, gold, k) == brute_recall(ranked, gold, k)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(3)
@@ -88,14 +118,36 @@ class TestRecallAtK:
         for _ in range(20):
             ranked = list(rng.permutation(universe))
             gold = list(rng.choice(universe, size=3, replace=False))
-            vals = [recall_at_k(ranked, gold, k) for k in range(1, 31)]
+            ev = evaluate_system("dense", {"q": ranked}, [record("q", gold)], ks=tuple(range(1, 31)))
+            vals = list(ev.recall_at.values())
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="k must be"):
-            recall_at_k(["A"], ["A"], 0)
-        with pytest.raises(ValueError, match="empty gold"):
-            recall_at_k(["A"], [], 5)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            recall(["A"], ["A"], 0)
+        with pytest.raises(ValueError, match="empty gold set"):
+            recall(["A"], [], 5)
+
+    def test_gold_absent_from_the_ranking(self):
+        ev = evaluate_system("dense", {"q": ["A", "B"]}, [record("q", ["Z", "B"])], ks=(1, 2, 5))
+        assert ev.questions["q"].gold_ranks == {"Z": None, "B": 2}
+        assert ev.recall_at == {1: 0.0, 2: 0.5, 5: 0.5}
+
+    def test_repeated_ids_in_a_ranking(self):
+        # a gold id ranks at its first place, and counts once
+        ranked = ["X", "A", "X", "A", "B"]
+        ev = evaluate_system("dense", {"q": ranked}, [record("q", ["A", "B"])], ks=(1, 2, 4, 5))
+        assert ev.questions["q"].gold_ranks == {"A": 2, "B": 5}
+        assert ev.recall_at == {k: brute_recall(ranked, ["A", "B"], k) for k in (1, 2, 4, 5)}
+        assert ev.recall_at == {1: 0.0, 2: 0.5, 4: 0.5, 5: 1.0}
+
+    def test_unvalidated_record_with_repeated_gold(self):
+        # `record` skips `validate`; a repeated gold id counts once
+        rec = record("q", ["A", "B", "A"])
+        ev = evaluate_system("dense", {"q": ["A", "C", "D"]}, [rec], ks=(1, 3))
+        assert ev.questions["q"].gold_ids == ["A", "B", "A"]
+        assert ev.questions["q"].gold_ranks == {"A": 1, "B": None}
+        assert ev.recall_at == {1: 0.5, 3: 0.5}
 
 
 def coverage(texts, answer, k):
@@ -254,6 +306,13 @@ class TestEvaluateSystem:
         q1 = ev.questions["q1"]
         assert q1.gold_ranks == {"A": 1, "B": 2}
         assert ev.questions["q2"].gold_ranks == {"C": None}
+
+    def test_repeated_question_rejected(self):
+        # a repeated record would count twice in the mean but once in the
+        # per-question table and the bootstrap
+        records, baseline, _ = rankings_fixture()
+        with pytest.raises(ValueError, match="duplicate question_id 'q1'"):
+            evaluate_system("dense", baseline, records + records[:1], ks=(5,))
 
     def test_coverage_needs_texts(self):
         records, baseline, _ = rankings_fixture()
@@ -604,7 +663,7 @@ class TestPoolDepthSweep:
 
 
 def reference_lambda_sweep(scored, ids, records, lambdas, ks):
-    """The per-pool lambda sweep, one `rank_rows` and `recall_at_k` call per
+    """The per-pool lambda sweep, one `rank_rows` and `brute_recall` call per
     query and setting: the oracle for the array version."""
     by_qid = {rec.question_id: rec for rec in records}
     rows = []
@@ -617,7 +676,7 @@ def reference_lambda_sweep(scored, ids, records, lambdas, ks):
         for k in ks:
             row[f"recall_at_{k}"] = float(
                 np.mean(
-                    [recall_at_k(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
+                    [brute_recall(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
                 )
             )
         rows.append(row)
@@ -643,7 +702,7 @@ def reference_pool_depth_sweep(scored, ids, records, depths, blend_lambda, ks):
         for k in ks:
             row[f"recall_at_{k}"] = float(
                 np.mean(
-                    [recall_at_k(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
+                    [brute_recall(rankings[q], by_qid[q].gold_passage_ids, k) for q in rankings]
                 )
             )
         rows.append(row)

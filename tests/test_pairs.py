@@ -264,6 +264,14 @@ class TestRecordIo:
         with pytest.raises(ValueError, match=":1:"):
             load_records(str(path))
 
+    def test_repeated_question_id_reports_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_records([record("q1", ["A", "B"]), record("q2", ["C", "D"])], str(path))
+        path.write_text(path.read_text() + "\n" + json.dumps(record("q1", ["E", "F"]).to_json_dict()) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_records(str(path))
+        assert str(info.value) == f"{path}:4: duplicate question_id 'q1'"
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
         save_records([record("q1", ["A", "B"])], str(path))
@@ -344,7 +352,7 @@ class TestTextsIo:
 def texts_via_json_objects(path):
     """Passage id -> text as the generic JSON-lines reader gives them, a
     repeated id keeping its first place and its last text."""
-    return {v["passage_id"]: v["text"] for v in pairs._json_objects(str(path), TEXT_KINDS)}
+    return {v["passage_id"]: v["text"] for _, v in pairs._json_objects(str(path), TEXT_KINDS)}
 
 
 @pytest.fixture
@@ -466,7 +474,7 @@ RECORD_KINDS = {
 
 def reference_objects(path, kinds):
     """The JSON-lines reader's contract, one `json.loads` per line: the list
-    of checked fields, or the error text of the first bad line."""
+    of (lineno, checked fields), or the error text of the first bad line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -484,7 +492,7 @@ def reference_objects(path, kinds):
             if missing:
                 return f"{where}: missing field {missing[0]!r}"
             try:
-                out.append({name: check_type(f"{where}: {name}", raw[name], kind) for name, kind in kinds.items()})
+                out.append((lineno, {name: check_type(f"{where}: {name}", raw[name], kind) for name, kind in kinds.items()}))
             except ValueError as exc:
                 return str(exc)
     return out
@@ -593,7 +601,7 @@ class TestJsonLinesReader:
             assert got == want, (trial, lines)
             if kinds is TEXT_KINDS and not isinstance(want, str):
                 # a repeated id keeps its first place and its last text
-                want_texts = {v["passage_id"]: v["text"] for v in want}
+                want_texts = {v["passage_id"]: v["text"] for _, v in want}
                 assert list(load_texts(str(path)).items()) == list(want_texts.items())
             failures += isinstance(want, str)
         assert 50 < failures < 250
