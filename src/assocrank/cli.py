@@ -87,6 +87,14 @@ def _typed(cfg: dict, key: str, kind: str, default):
     return _check(key, cfg[key], kind) if key in cfg else default
 
 
+def _refuse_unknown(cfg: dict, prefix: str, names: tuple[str, ...]) -> None:
+    """A config error for the first `<prefix>.*` key not named in `names`."""
+    for key in cfg:
+        name = key.removeprefix(prefix + ".")
+        if name != key and name not in names:
+            raise CliError(f"unknown config key {key!r}")
+
+
 def _section(cfg: dict, prefix: str, cls, skip=(), renamed=None):
     """The dataclass `cls`, validated, from its defaults and the `<prefix>.*` keys.
 
@@ -96,14 +104,12 @@ def _section(cfg: dict, prefix: str, cls, skip=(), renamed=None):
     """
     renamed = renamed or {}
     by_name = {renamed.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    _refuse_unknown(cfg, prefix, (*by_name, *skip))
     values = {}
     for key, value in cfg.items():
         name = key.removeprefix(prefix + ".")
-        if name == key or name in skip:
-            continue
-        if name not in by_name:
-            raise CliError(f"unknown config key {key!r}")
-        values[by_name[name].name] = _check(key, value, by_name[name].type)
+        if name != key and name in by_name:
+            values[by_name[name].name] = _check(key, value, by_name[name].type)
     config = cls(**values)
     try:
         config.validate()
@@ -203,6 +209,7 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_pairs(cfg: dict) -> int:
+    _refuse_unknown(cfg, "pairs", ("split_mode", "transform", "shuffle_seed"))
     records = pairs_mod.load_records(require(cfg, "records"))
     pair_set = pairs_mod.extract_pairs(records)
     mode = _typed(cfg, "pairs.split_mode", "str", "transductive")
@@ -215,8 +222,7 @@ def cmd_pairs(cfg: dict) -> int:
         pair_set = pairs_mod.shuffle_pairs(pair_set, _typed(cfg, "pairs.shuffle_seed", "int", 0))
     elif transform == "similar_positives":
         passages = load_matrix(require(cfg, "passages"))
-        count = _typed(cfg, "pairs.similar_count", "int", len(pair_set.pairs))
-        pair_set = pairs_mod.similar_positive_pairs(passages, count)
+        pair_set = pairs_mod.similar_positive_pairs(passages, len(pair_set.pairs))
     elif transform != "none":
         raise CliError(f"unknown pairs.transform {transform!r}")
     pairs_mod.save_pairs(pair_set, require(cfg, "pairs"))
@@ -328,6 +334,7 @@ def _load_texts(cfg: dict, passage_ids: list[str]) -> dict[str, str] | None:
 
 def cmd_eval(cfg: dict) -> int:
     started = time.perf_counter()
+    _refuse_unknown(cfg, "eval", ("ks", "resamples", "seed", "out"))
     passages, config, ks, scored, records, texts = _scored_queries(
         cfg, "eval.ks", evaluation.HIT_K, texts=True
     )
@@ -382,6 +389,7 @@ def _write_table(path: str, rows: list[dict], leading: list[str], ks: tuple[int,
 
 
 def cmd_sweep(cfg: dict) -> int:
+    _refuse_unknown(cfg, "sweep", ("ks", "lambdas", "depths", "lambda_out", "depth_out"))
     passages, config, ks, scored, records, _ = _scored_queries(cfg, "sweep.ks")
     lambdas = _typed(cfg, "sweep.lambdas", "list[float]", [0.0, 0.25, 0.5, 0.75, 1.0])
     lam_rows = evaluation.lambda_sweep(scored, passages.ids, records, lambdas, ks)
@@ -397,6 +405,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
+    _refuse_unknown(cfg, "bench", ("pool_depths", "n_queries", "warmup", "reps", "out"))
     config = _rerank_config(cfg)
     depths = _typed(cfg, "bench.pool_depths", "list[int]", [100, 200])
     if not depths or min(depths) < 1:

@@ -104,14 +104,14 @@ class AssocModel:
         return float(1.0 / (1.0 + np.exp(-self.alpha_raw[0])))
 
     @classmethod
-    def initialize(cls, dim: int, seed: int, dtype=np.float32) -> "AssocModel":
-        """Seeded init: weights uniform in +-1/sqrt(d), biases zero,
+    def initialize(cls, dim: int, seed: int) -> "AssocModel":
+        """Seeded float32 init: weights uniform in +-1/sqrt(d), biases zero,
         layernorm at identity, gate at 0.5."""
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(dim)
-        model = cls(np.zeros(param_size(dim), dtype=dtype), dim)
+        model = cls(np.zeros(param_size(dim), dtype=np.float32), dim)
         for w in model.weights:
             w[...] = rng.uniform(-bound, bound, size=(dim, dim))
         for s in model.ln_scales:

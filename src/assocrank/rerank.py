@@ -113,13 +113,10 @@ def _association_readout(
     Takes one query, its f(q) and its (K,) pool, or a (Q, d) block of
     queries, their f(q) and their (Q, K) pools, and returns scores shaped
     as `rows`. Gathers only the pool rows of the matrices the mode reads.
-    A pool's scores are one matrix-vector product per matrix read; a block
-    of two or more runs them as a (Q, K, d) @ (Q, d, 1) stack, which keeps
-    each query's bits."""
-    if rows.ndim == 2 and len(rows) == 1:
-        return _association_readout(query[0], fq[0], rows[0], passages, transformed, mode)[None]
-    if rows.ndim == 2:
-        query, fq = query[..., None], fq[..., None]
+    A pool's scores are one matrix-vector product per matrix read: (K, d) @
+    (d, 1) for one query, a (Q, K, d) @ (Q, d, 1) stack for a block, which
+    keeps each query's bits."""
+    query, fq = query[..., None], fq[..., None]
     if mode == "forward_only":
         assoc = passages.data[rows] @ fq
     elif mode == "reverse_only":

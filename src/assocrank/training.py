@@ -10,6 +10,9 @@ float64 (`tests/gradcheck.py`).
 
 Arithmetic follows the deployment path: parameters and activations in
 float32, loss values accumulated in float64.
+
+`TrainConfig` holds the six settings that shape the result; AdamW runs with
+beta1 0.9, beta2 0.999 and eps 1e-8, and the cosine schedule ends at 0.
 """
 
 from __future__ import annotations
@@ -37,28 +40,19 @@ class TrainConfig:
     learning_rate: float = 3e-4
     epochs: int = 100
     weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    min_lr_fraction: float = 0.0
     seed: int = 0
 
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # each test is written so that NaN fails it
-        for name in ("temperature", "learning_rate", "adam_eps"):
+        for name in ("temperature", "learning_rate"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0.0 <= self.min_lr_fraction <= 1.0:
-            raise ValueError(f"min_lr_fraction must be in [0, 1], got {self.min_lr_fraction}")
 
 
 @dataclass
@@ -139,11 +133,10 @@ class AdamW:
     """Decoupled weight decay Adam over one flat parameter vector, updated in
     place; its moments share the vector's layout."""
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
-        self.beta1 = config.adam_beta1
-        self.beta2 = config.adam_beta2
-        self.eps = config.adam_eps
         self.weight_decay = config.weight_decay
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -163,16 +156,14 @@ class AdamW:
         p -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
 
 
-def cosine_lr(epoch: int, epochs: int, base_lr: float, min_lr_fraction: float) -> float:
-    """Cosine decay from base_lr at epoch 0 to min_lr_fraction*base_lr at the
-    final epoch."""
+def cosine_lr(epoch: int, epochs: int, base_lr: float) -> float:
+    """Cosine decay from base_lr at epoch 0 to 0 at the final epoch."""
     if not 0 <= epoch < epochs:
         raise ValueError(f"epoch {epoch} out of range for {epochs} epochs")
     if epochs == 1:
         return base_lr
-    min_lr = min_lr_fraction * base_lr
     span = np.cos(np.pi * epoch / (epochs - 1))
-    return float(min_lr + (base_lr - min_lr) * 0.5 * (1.0 + span))
+    return float(base_lr * 0.5 * (1.0 + span))
 
 
 def _resolve_pairs(pairs: AssocPairSet, embeddings: EmbeddingMatrix):
@@ -218,7 +209,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     opt = AdamW(model.params, config)
     for epoch in range(config.epochs):
-        lr = cosine_lr(epoch, config.epochs, config.learning_rate, config.min_lr_fraction)
+        lr = cosine_lr(epoch, config.epochs, config.learning_rate)
         order = rng.permutation(n)
         loss_sum = 0.0
         seen = 0

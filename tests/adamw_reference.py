@@ -9,9 +9,9 @@ class TensorAdamW:
 
     def __init__(self, params: dict[str, np.ndarray], config):
         self.params = params
-        self.beta1 = config.adam_beta1
-        self.beta2 = config.adam_beta2
-        self.eps = config.adam_eps
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self.weight_decay = config.weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}

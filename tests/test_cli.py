@@ -500,7 +500,6 @@ BAD_CONFIG_VALUES = [
     ("train", "train.batch_size=true", "train.batch_size: expected int, got true"),
     ("train", "train.momentum=0.9", "unknown config key 'train.momentum'"),
     ("train", "train.negative_mode=in_batch", "unknown config key 'train.negative_mode'"),
-    ("train", "train.adam_beta1=7", "bad train config: adam_beta1 must be in [0, 1), got 7.0"),
     (
         "train",
         "train.temperature=NaN",
@@ -516,6 +515,13 @@ BAD_CONFIG_VALUES = [
     ("synth", "synth.n_passages=60.9", "synth.n_passages: expected int, got 60.9"),
     ("synth", "synth.n_pasages=10", "unknown config key 'synth.n_pasages'"),
     ("pairs", "pairs.split_mode=1", "pairs.split_mode: expected str, got 1"),
+    # each command refuses a key of its own section that names no setting
+    ("pairs", "pairs.similar_cout=3", "unknown config key 'pairs.similar_cout'"),
+    ("pairs", "pairs.shufle_seed=4", "unknown config key 'pairs.shufle_seed'"),
+    ("eval", "eval.resample=5", "unknown config key 'eval.resample'"),
+    ("eval", "eval.kss=[1]", "unknown config key 'eval.kss'"),
+    ("sweep", "sweep.lambda=[0.5]", "unknown config key 'sweep.lambda'"),
+    ("bench", "bench.rep=2", "unknown config key 'bench.rep'"),
     ("eval", 'eval.ks=[5, "x"]', 'eval.ks[1]: expected int, got "x"'),
     ("eval", "eval.ks=[]", "eval.ks must be a non-empty list of ks >= 1, got []"),
     ("eval", "eval.ks=[5, 0]", "eval.ks must be a non-empty list of ks >= 1, got [5, 0]"),
@@ -620,6 +626,30 @@ class TestErrors:
         capsys.readouterr()
         err = self.run_expecting_error(argv, capsys, message)
         assert err == f"error: config: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("train", "train.adam_beta1"),
+            ("train", "train.adam_beta2"),
+            ("train", "train.adam_eps"),
+            ("train", "train.min_lr_fraction"),
+            ("pairs", "pairs.similar_count"),
+        ],
+    )
+    def test_a_deleted_setting_is_an_unknown_key(self, pipeline, tmp_path, capsys, command, key):
+        # AdamW's betas and eps and the cosine floor are constants, and the
+        # similar-positive pair count is the pair set's size
+        _, _, config_path = pipeline
+        argv = [command, "--config", str(config_path), "--set", f"{key}=0.5"]
+        if command == "pairs":
+            argv += ["--set", "pairs.transform=similar_positives"]
+        for out_key in OUTPUTS[command]:
+            argv += ["--set", f"{out_key}={tmp_path / out_key}"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: config: unknown config key {key!r}\n"
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
