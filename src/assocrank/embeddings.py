@@ -1,4 +1,7 @@
-"""Fixed-dimension embedding store with stable id <-> row mappings.
+"""Fixed-dimension embedding store: float32 rows, one string id per row.
+
+A matrix holds its payload and its ids and no id-to-row map; a caller that
+needs rows by id maps only the ids it names.
 
 Matrices are serialized in a small versioned binary container, little-endian
 throughout:
@@ -43,7 +46,6 @@ class EmbeddingMatrix:
     ids: list[str]
     data: np.ndarray
     normalized: bool = False
-    _row_of: dict[str, int] = field(init=False, repr=False)
     # (data, its largest row norm), set by the first `max_norm` call
     _max_norm: tuple[np.ndarray, float] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -57,8 +59,7 @@ class EmbeddingMatrix:
             raise ValueError(
                 f"id count {len(self.ids)} does not match row count {self.data.shape[0]}"
             )
-        self._row_of = dict(zip(self.ids, range(len(self.ids))))
-        if len(self._row_of) != len(self.ids):
+        if len(set(self.ids)) != len(self.ids):
             first: dict[str, int] = {}
             for i, pid in enumerate(self.ids):
                 if pid in first:
@@ -72,15 +73,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    def row(self, pid: str) -> int:
-        try:
-            return self._row_of[pid]
-        except KeyError:
-            raise KeyError(f"unknown id {pid!r}") from None
-
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._row_of
 
     def max_norm(self) -> float:
         """The largest float64 L2 row norm; inf or NaN when a row is not

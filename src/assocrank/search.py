@@ -16,21 +16,21 @@ is within
 
 of the exact one (u = 2^-24, gamma_d = d*u / (1 - d*u); the last term covers
 products that underflow). A row that can reach the exact top K then has a
-prefilter score within 2 * eps of the prefilter's K-th best, which a
-partition finds. Only the rows in that window, about K per query, are
-scored exactly and sorted. A query whose prefilter could overflow or hold
-NaN is scored exactly on every row instead.
+prefilter score within 2 * eps of the prefilter's K-th best. Only the rows
+in such a window, about K per query, are scored exactly and sorted. A query
+whose prefilter could overflow or hold NaN is scored exactly on every row
+instead.
 
-A block of queries sets its windows without a loop over its queries. Each
-query's rows fall into groups of 16 strided rows; K of the groups have a
-minimum negated score at or below the K-th smallest group minimum, so K
-rows do, and that minimum is no better than the query's K-th best score.
-Its window, up to 2 * eps past that minimum, holds every row of the
-partition's window, and so the exact top K, with a few more rows: about
-105 for K = 100. A split search merges the chunks' windows and sets the
-final window from the K-th best of their union, which is the K-th best
-over the whole matrix; that window is the same row set a single query's
-search scores.
+Every search sets its windows by one rule, `_block_limits`, without a loop
+over its queries. Each query's rows fall into groups of 16 strided rows; K
+of the groups have a minimum negated score at or below the K-th smallest
+group minimum, so K rows do, and that minimum is no better than the query's
+K-th best score. Its window, up to 2 * eps past that minimum, holds every
+row within 2 * eps of the K-th best, and so the exact top K, with a few more
+rows: about 105 for K = 100. With fewer than 16 * K rows a partition finds
+the K-th best itself. A split search merges the chunks' windows and sets
+the final window by the same rule from their union, whose K-th best is the
+K-th best over the whole matrix.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
     `_CHUNK_ENTRIES` entries is searched in chunks of contiguous rows by
     `parallel.map_chunks`: one share per thread, cut smaller for a block of
     many queries. A chunk keeps, for each query, the rows whose
-    prefilter score is within 2 * eps of the chunk's K-th best (for a
-    block, of a bound no better than it). The K-th best of those rows over
-    all chunks is the K-th best over the whole matrix, so it sets the same
-    window as an unsplit search would.
+    prefilter score is within 2 * eps of a bound no better than the
+    chunk's K-th best. The K-th best of those rows over all chunks is the
+    K-th best over the whole matrix, and the final window is set from it
+    by the same rule.
     """
     q = np.asarray(queries, dtype=np.float32)
     if q.ndim not in (1, 2) or q.shape[-1] != passages.dim:
@@ -120,9 +120,9 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
         lo = starts[chunk]
         part = data[lo : lo + chunk_rows]
         if len(block) == 1 and bounded:
-            # one query: one matvec and one partition of its scores
+            # one query: one matvec, and a block's window rule
             neg = part @ negated[0]
-            rows = (neg <= _limit(neg, k, epsilons[0])).nonzero()[0]
+            rows = (neg <= _block_limits(neg[None], k, epsilons[:1])[0]).nonzero()[0]
             return [(rows + lo, neg[rows])]
         windows = iter(())
         if bounded:
@@ -161,7 +161,7 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
                 rows = np.concatenate([found[i][0] for found in chunks])
                 values = np.concatenate([found[i][1] for found in chunks])
                 if eps is not None:
-                    rows = rows[values <= _limit(values, k, eps)]
+                    rows = rows[values <= _block_limits(values[None], k, [eps])[0]]
             exact = values if eps is None else _exact_scores(data.take(rows, axis=0), q64[i])
             # rows ascend, so ties go to the lower row; NaN sorts last
             top = np.lexsort((rows, -exact))[:k]
@@ -179,22 +179,11 @@ def top_k(queries: np.ndarray, passages: EmbeddingMatrix, k: int) -> tuple[np.nd
     return rows, np.array([s for _, s in results], dtype=np.float32).reshape(-1, k)
 
 
-def _limit(neg: np.ndarray, k: int, eps: float) -> np.float32:
-    """The largest negated prefilter score within 2 * eps of the K-th best
-    in `neg`: every row at or below it can reach the exact top K. With K or
-    fewer scores, +inf."""
-    if neg.size <= k:
-        return _INF32
-    limit = float(np.partition(neg, k - 1)[k - 1]) + 2.0 * eps
-    # rounding to float32 moves the limit by at most half a step, so one step
-    # up keeps every row within 2 * eps
-    return np.nextafter(np.float32(limit), _INF32)
-
-
 def _block_limits(neg: np.ndarray, k: int, epsilons: list[float]) -> np.ndarray:
-    """Per query, a float32 limit no smaller than `_limit` of its negated
-    prefilter scores, a row of the (Q, n) block `neg`, and its eps in
-    `epsilons`, from a few whole-block calls."""
+    """Per query, a float32 limit at or above every negated prefilter score
+    within 2 * eps of the K-th best: its scores are a row of the (Q, n)
+    block `neg`, its eps in `epsilons`. With K or fewer scores, +inf. From a
+    few whole-block calls."""
     queries, n = neg.shape
     if n <= k:
         return np.full(queries, _INF32)
@@ -207,7 +196,8 @@ def _block_limits(neg: np.ndarray, k: int, epsilons: list[float]) -> np.ndarray:
         # minimum, so K scores do, and the query's K-th best is no larger
         minima = neg[:, : groups * _GROUP_SIZE].reshape(queries, _GROUP_SIZE, groups).min(axis=1)
         kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
-    # as in `_limit`: the sum in float64, rounded to float32, one step up
+    # the sum in float64, rounded to float32: rounding moves it by at most
+    # half a step, so one step up keeps every row within 2 * eps
     return np.nextafter((kth + 2.0 * np.array(epsilons)).astype(np.float32), _INF32)
 
 

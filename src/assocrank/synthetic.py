@@ -37,6 +37,8 @@ from assocrank.pairs import QuestionRecord
 WITHIN_CLUSTER_SPREAD = 0.35
 # relative sigma of the per-bridge blend-weight jitter
 BRIDGE_RANK_JITTER = 0.07
+# distractor rows are drawn and normalized in float64 blocks of this many
+_DISTRACTOR_BLOCK = 16_384
 
 
 @dataclass
@@ -166,20 +168,24 @@ def generate_full(spec: SyntheticSpec) -> SyntheticData:
         bridge_base = np.arange(nq)
 
     gold_rows = bridges.shape[1]
-    n_distractors = spec.n_passages - n_gold
-    raw = np.empty((spec.n_passages, d))
+    # float32 from the start: writing a float64 row rounds it as a cast of
+    # the finished corpus would, and no float64 copy of the corpus is made
+    raw = np.empty((spec.n_passages, d), dtype=np.float32)
     raw[: len(anchors)] = anchors
     for level in range(spec.hops - 1):
         raw[gold_rows * (level + 1) : gold_rows * (level + 2)] = bridges[level]
-    if n_distractors:
-        raw[n_gold:] = _unit_rows(rng.normal(size=(n_distractors, d)))
+    # drawn in blocks, which take the same stream as one draw of all rows
+    for lo in range(n_gold, spec.n_passages, _DISTRACTOR_BLOCK):
+        hi = min(lo + _DISTRACTOR_BLOCK, spec.n_passages)
+        raw[lo:hi] = _unit_rows(rng.normal(size=(hi - lo, d)))
 
     placement = rng.permutation(spec.n_passages)
     data = np.empty_like(raw)
     data[placement] = raw
+    del raw
     width = max(5, len(str(spec.n_passages - 1)))
     ids = [f"p{i:0{width}d}" for i in range(spec.n_passages)]
-    passages = EmbeddingMatrix(ids=ids, data=data.astype(np.float32), normalized=True)
+    passages = EmbeddingMatrix(ids=ids, data=data, normalized=True)
 
     qwidth = max(4, len(str(nq - 1)))
     qids = [f"q{i:0{qwidth}d}" for i in range(nq)]

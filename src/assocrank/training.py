@@ -167,14 +167,16 @@ def cosine_lr(epoch: int, epochs: int, base_lr: float) -> float:
 
 
 def _resolve_pairs(pairs: AssocPairSet, embeddings: EmbeddingMatrix):
-    rows_a = np.empty(len(pairs.pairs), dtype=np.int64)
-    rows_b = np.empty(len(pairs.pairs), dtype=np.int64)
-    for i, (a, b) in enumerate(pairs.pairs):
-        if a not in embeddings or b not in embeddings:
-            missing = a if a not in embeddings else b
-            raise PairSetError(f"pair id {missing!r} not present in the embedding matrix")
-        rows_a[i] = embeddings.row(a)
-        rows_b[i] = embeddings.row(b)
+    """The embedding rows of each pair's two ids, as two int64 arrays. Only
+    the ids the pairs name are mapped, in one pass over `embeddings.ids`."""
+    named = {pid for pair in pairs.pairs for pid in pair}
+    row_of = {pid: i for i, pid in enumerate(embeddings.ids) if pid in named}
+    if len(row_of) != len(named):
+        missing = next(pid for pair in pairs.pairs for pid in pair if pid not in row_of)
+        raise PairSetError(f"pair id {missing!r} not present in the embedding matrix")
+    n = len(pairs.pairs)
+    rows_a = np.fromiter((row_of[a] for a, _ in pairs.pairs), dtype=np.int64, count=n)
+    rows_b = np.fromiter((row_of[b] for _, b in pairs.pairs), dtype=np.int64, count=n)
     return rows_a, rows_b
 
 

@@ -1,5 +1,7 @@
 """Planted-association corpus generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,21 @@ class TestGeneration:
         ]
         assert a.texts == b.texts
 
+    def test_a_corpus_of_several_distractor_blocks_keeps_its_bits(self):
+        # 33,880 distractors, drawn in three blocks; the digest was taken
+        # when all of them were drawn in one call into a float64 corpus
+        data = generate_full(SyntheticSpec(n_passages=34000, dim=8, n_questions=40, hops=3, seed=11))
+        h = hashlib.sha256()
+        for m in (data.passages, data.queries):
+            h.update("\n".join(m.ids).encode())
+            h.update(m.data.tobytes())
+        for pid in sorted(data.texts):
+            h.update(f"{pid}\t{data.texts[pid]}\n".encode())
+        for r in data.records:
+            h.update(repr((r.question_id, r.question_text, r.gold_passage_ids,
+                           r.gold_answer, r.split)).encode())
+        assert h.hexdigest() == "5e1ec5e373d48334c708d4a8c2d4ebb0f0922e7a363b569df64a342e6b3997f4"
+
     def test_seed_changes_data(self):
         a = generate_full(self.small())
         b = generate_full(self.small(seed=6))
@@ -158,36 +175,42 @@ def default_corpus():
     return generate_full(DEFAULT)
 
 
+@pytest.fixture(scope="module")
+def row_of(default_corpus):
+    """Passage id -> row of the default corpus."""
+    return {pid: i for i, pid in enumerate(default_corpus.passages.ids)}
+
+
 class TestPlantedGeometry:
-    def test_median_bridge_rank_in_band(self, default_corpus):
+    def test_median_bridge_rank_in_band(self, default_corpus, row_of):
         data = default_corpus
         ranks = dense_ranks(data)
         bridge_ranks = []
         for qi, rec in enumerate(data.records):
             for gid in rec.gold_passage_ids[1:]:
-                bridge_ranks.append(ranks[qi, data.passages.row(gid)])
+                bridge_ranks.append(ranks[qi, row_of[gid]])
         med = float(np.median(bridge_ranks))
         assert 6 <= med <= 20, f"median bridge rank {med}"
 
-    def test_anchor_top5_coverage(self, default_corpus):
+    def test_anchor_top5_coverage(self, default_corpus, row_of):
         data = default_corpus
         hits = 0
         for rec, q in zip(data.records, data.queries.data):
             rows, _ = top_k(q, data.passages, 5)
-            anchor_row = data.passages.row(rec.gold_passage_ids[0])
+            anchor_row = row_of[rec.gold_passage_ids[0]]
             hits += int(anchor_row in rows)
         assert hits / len(data.records) >= 0.90
 
-    def test_bridge_top5_headroom(self, default_corpus):
+    def test_bridge_top5_headroom(self, default_corpus, row_of):
         data = default_corpus
         lucky = 0
         for rec, q in zip(data.records, data.queries.data):
             rows = set(top_k(q, data.passages, 5)[0].tolist())
-            bridge_rows = {data.passages.row(g) for g in rec.gold_passage_ids[1:]}
+            bridge_rows = {row_of[g] for g in rec.gold_passage_ids[1:]}
             lucky += int(bool(rows & bridge_rows))
         assert lucky / len(data.records) <= 0.20
 
-    def test_bridges_inside_default_pool(self, default_corpus):
+    def test_bridges_inside_default_pool(self, default_corpus, row_of):
         # every bridge must start inside the 100-deep candidate pool or the
         # reranker never even sees it
         data = default_corpus
@@ -195,7 +218,7 @@ class TestPlantedGeometry:
         worst = 0
         for qi, rec in enumerate(data.records):
             for gid in rec.gold_passage_ids[1:]:
-                worst = max(worst, int(ranks[qi, data.passages.row(gid)]))
+                worst = max(worst, int(ranks[qi, row_of[gid]]))
         assert worst <= 100, f"worst bridge rank {worst}"
 
     def test_isinstance_container(self, default_corpus):

@@ -389,13 +389,13 @@ class TestChunks:
                 assert started.acquire(timeout=30)
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
             ran_on = []
-            limit = search._limit
+            limits = search._block_limits
 
-            def recording_limit(*args):
+            def recording_limits(*args):
                 ran_on.append(threading.get_ident())
-                return limit(*args)
+                return limits(*args)
 
-            monkeypatch.setattr(search, "_limit", recording_limit)
+            monkeypatch.setattr(search, "_block_limits", recording_limits)
             rng = np.random.default_rng(8)
             data = rng.normal(size=(5 * self.ROWS, self.D)).astype(np.float32)
             q = rng.normal(size=self.D).astype(np.float32)
@@ -516,9 +516,20 @@ class TestBlockBound:
             assert_equals_exact_top_k(queries[[1, 4]], data, k, top_k(queries[[1, 4]], m, k))
 
 
+def reference_limit(neg, k, eps):
+    """The largest negated prefilter score within 2 * eps of the K-th best
+    in `neg`, rounded to float32 and one step up; with K or fewer scores,
+    +inf. Every row at or below it can reach the exact top K."""
+    if neg.size <= k:
+        return np.float32(np.inf)
+    limit = float(np.partition(neg, k - 1)[k - 1]) + 2.0 * eps
+    return np.nextafter(np.float32(limit), np.float32(np.inf))
+
+
 def test_block_limits_are_at_least_each_rows_limit():
-    """A block's limit for each query is no smaller than `_limit` of that
-    query's scores alone, so its window holds every row `_limit` keeps."""
+    """A block's limit for each query is no smaller than the reference limit
+    of that query's scores alone, so its window holds every row that the
+    reference keeps."""
     rng = np.random.default_rng(13)
     checked = {"groups": 0, "rows": 0, "all": 0}
     for trial in range(300):
@@ -535,12 +546,12 @@ def test_block_limits_are_at_least_each_rows_limit():
         limits = search._block_limits(neg, k, epsilons)
         assert limits.dtype == np.float32 and limits.shape == (queries,)
         for i, eps in enumerate(epsilons):
-            alone = search._limit(neg[i], k, eps)
+            alone = reference_limit(neg[i], k, eps)
             assert limits[i] >= alone
             kept = neg[i] <= limits[i]
             assert kept[neg[i] <= alone].all()
         path = "all" if n <= k else "rows" if n // search._GROUP_SIZE < k else "groups"
         checked[path] += 1
         if path != "groups":  # the rows' own K-th best: the same limit
-            assert limits.tolist() == [search._limit(row, k, eps) for row, eps in zip(neg, epsilons)]
+            assert limits.tolist() == [reference_limit(row, k, eps) for row, eps in zip(neg, epsilons)]
     assert min(checked.values()) >= 20

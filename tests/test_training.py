@@ -15,6 +15,7 @@ from assocrank.pairs import AssocPairSet, extract_pairs
 from assocrank.synthetic import SyntheticSpec, generate_full
 from assocrank.training import (
     AdamW,
+    PairSetError,
     TrainConfig,
     backward,
     cosine_lr,
@@ -340,6 +341,7 @@ class TestTrain:
             return real_backward(model, batch_a, batch_b, config)
 
         monkeypatch.setattr(training, "backward", recording_backward)
+        row_of = {pid: i for i, pid in enumerate(passages.ids)}
         for batch_size, batches_per_epoch in ((5, 3), (11, 1)):
             cfg = TrainConfig(batch_size=batch_size, epochs=3, seed=12)
             seen.clear()
@@ -352,7 +354,7 @@ class TestTrain:
                     chunk = order[lo : lo + batch_size]
                     if chunk.size < 2:
                         continue
-                    rows = [[passages.row(pair_set.pairs[k][side]) for k in chunk]
+                    rows = [[row_of[pair_set.pairs[k][side]] for k in chunk]
                             for side in (0, 1)]
                     expected.append((passages.data[rows[0]], passages.data[rows[1]]))
             assert len(expected) == cfg.epochs * batches_per_epoch
@@ -384,6 +386,26 @@ class TestTrain:
         model = AssocModel.initialize(16, seed=6)
         with pytest.raises(ValueError, match="'ghost-a'"):
             train(model, bad, passages, TrainConfig(batch_size=1, epochs=1))
+
+    def test_a_missing_id_is_named_first_in_pair_order(self):
+        # the first missing id in pair order, the pair's first id before
+        # its second, from `train` and `training_accuracy` alike
+        passages, _ = two_cluster_fixture(seed=6)
+        a, b, c = passages.ids[:3]
+        model = AssocModel.initialize(16, seed=6)
+        cases = [
+            ([(a, b), (c, "x1"), ("x2", a)], "x1"),
+            ([(a, b), ("x2", "x1"), (c, "x1")], "x2"),
+            ([(b, "x3"), (a, "x3")], "x3"),
+        ]
+        for pairs, missing in cases:
+            message = f"pair id '{missing}' not present in the embedding matrix"
+            with pytest.raises(PairSetError) as info:
+                train(model, pair_set_for(pairs), passages, TrainConfig(batch_size=2, epochs=1))
+            assert str(info.value) == message
+            with pytest.raises(PairSetError) as info:
+                training_accuracy(model, pair_set_for(pairs), passages, 2)
+            assert str(info.value) == message
 
     def test_batch_size_one_rejected(self):
         passages, pair_set = two_cluster_fixture(seed=6)
